@@ -9,21 +9,14 @@ warm-up over the unique instances, then fully warm), checks the warm results
 are byte-identical to the cold ones, and writes a machine-readable summary
 to ``benchmarks/results/BENCH_cache.json``.
 
-Two further axes (PR 9):
-
-* **backend** — per-request hit latency of every
-  :mod:`repro.cache_store` backend (the in-memory LRU front, the sharded
-  ``disk-json`` directory, and the WAL-mode ``sqlite`` store in both of its
-  row codecs), measured through the same :class:`repro.cache.ResultCache`
-  front the serve loop uses.
-* **codec** — encode/decode cost and wire size of the JSON line codec vs
-  the binary envelope codec on the ndarray-heavy result envelopes this
-  repo actually serves (one float64 speed per job).  The acceptance floor:
-  binary frames are smaller than JSON lines and no slower to round-trip.
+A second axis, **backend**, measures the per-request write and hit latency
+of every :mod:`repro.cache_store` backend (the in-memory LRU front, the
+sharded ``disk-json`` directory and the WAL-mode ``sqlite`` store) through
+the same :class:`repro.cache.ResultCache` front the serve loop uses.
 
 Running this file directly with ``--quick`` is the CI smoke: a small-scale
-re-measurement of the codec claim plus a check that the committed
-``BENCH_cache.json`` carries the backend and codec sections.
+re-measurement of the backend axis plus a check that the committed
+``BENCH_cache.json`` carries the backend section.
 
 The acceptance floor asserted by the full run: warm is at least 10x faster
 than cold.
@@ -42,13 +35,6 @@ from repro.api import solve as api_solve
 from repro.batch import solve_stream
 from repro.cache import ResultCache
 from repro.cache_store import SqliteStore
-from repro.io import (
-    binary_envelope_decode,
-    binary_envelope_encode,
-    decode_envelope,
-    encode_envelope,
-    result_to_dict,
-)
 from repro.workloads import figure1_power, poisson_instance
 
 RESULTS = Path(__file__).parent / "results"
@@ -95,67 +81,19 @@ def _measure_backends(requests, results) -> dict:
             "write_us": write_us,
             "hit_us": _per_request_us(disk_cache.get, requests),
         }
-        for codec in ("json", "binary"):
-            store = SqliteStore(Path(tmp) / f"cache-{codec}.sqlite3", codec=codec)
-            sqlite_cache = ResultCache(store=store, max_memory_entries=0)
-            start = time.perf_counter()
-            for request, result in zip(requests, results):
-                sqlite_cache.put(request, result)
-            write_us = (time.perf_counter() - start) / len(requests) * 1e6
-            backends.setdefault("sqlite", {})[codec] = {
-                "write_us": write_us,
-                "hit_us": _per_request_us(sqlite_cache.get, requests),
-            }
-            assert sqlite_cache.stats().disk_errors == 0
-            store.close()
-    return backends
-
-
-def _measure_codecs(results, repeats: int = 50) -> dict:
-    """Encode/decode cost and size of both wire codecs on real envelopes."""
-    envelopes = [result_to_dict(result) for result in results]
-
-    def _time_us(fn) -> float:
+        store = SqliteStore(Path(tmp) / "cache.sqlite3")
+        sqlite_cache = ResultCache(store=store, max_memory_entries=0)
         start = time.perf_counter()
-        for _ in range(repeats):
-            for envelope in envelopes:
-                fn(envelope)
-        return (time.perf_counter() - start) / (repeats * len(envelopes)) * 1e6
-
-    json_frames = [encode_envelope(e, "json") for e in envelopes]
-    binary_frames = [encode_envelope(e, "binary") for e in envelopes]
-    for json_frame, binary_frame in zip(json_frames, binary_frames):
-        assert decode_envelope(binary_frame, "binary") == json.loads(json_frame)
-
-    report = {}
-    for codec, frames in (("json", json_frames), ("binary", binary_frames)):
-        encode_us = _time_us(lambda e, c=codec: encode_envelope(e, c))
-        start = time.perf_counter()
-        for _ in range(repeats):
-            for frame in frames:
-                decode_envelope(frame, codec)
-        decode_us = (time.perf_counter() - start) / (repeats * len(frames)) * 1e6
-        report[codec] = {
-            "frame_bytes": sum(len(f) for f in frames) / len(frames),
-            "encode_us": encode_us,
-            "decode_us": decode_us,
+        for request, result in zip(requests, results):
+            sqlite_cache.put(request, result)
+        write_us = (time.perf_counter() - start) / len(requests) * 1e6
+        backends["sqlite"] = {
+            "write_us": write_us,
+            "hit_us": _per_request_us(sqlite_cache.get, requests),
         }
-    report["binary_vs_json"] = {
-        "size_ratio": report["binary"]["frame_bytes"] / report["json"]["frame_bytes"],
-        "round_trip_ratio": (
-            (report["binary"]["encode_us"] + report["binary"]["decode_us"])
-            / (report["json"]["encode_us"] + report["json"]["decode_us"])
-        ),
-    }
-    return report
-
-
-def _merge_results(filename: str, payload: dict) -> None:
-    RESULTS.mkdir(parents=True, exist_ok=True)
-    path = RESULTS / filename
-    data = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
-    data.update(payload)
-    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+        assert sqlite_cache.stats().disk_errors == 0
+        store.close()
+    return backends
 
 
 def test_cache_throughput():
@@ -190,15 +128,10 @@ def test_cache_throughput():
     # the acceptance floor: a warm repeated-instance sweep is >= 10x cold
     assert speedup >= 10.0, f"warm cache only {speedup:.1f}x faster than cold"
 
-    # backend x codec axes on the same request population
+    # the backend axis on the same request population
     requests = _requests(unique, power)
     results = [api_solve(request) for request in requests]
     backends = _measure_backends(requests, results)
-    codecs = _measure_codecs(results)
-    assert codecs["binary_vs_json"]["size_ratio"] < 0.75, (
-        "binary frames should be markedly smaller than JSON lines on "
-        f"ndarray-heavy envelopes, got {codecs['binary_vs_json']['size_ratio']:.2f}x"
-    )
 
     report = {
         "benchmark": "cache_throughput",
@@ -211,7 +144,6 @@ def test_cache_throughput():
         "warm_speedup": speedup,
         "byte_identical": True,
         "backends": backends,
-        "envelope_codec": codecs,
         # kept for dashboards reading the original flat section
         "latency_us": {
             "miss_overhead": backends["miss_overhead_us"],
@@ -219,66 +151,52 @@ def test_cache_throughput():
             "disk_hit": backends["disk-json"]["hit_us"],
         },
     }
-    _merge_results("BENCH_cache.json", report)
+    RESULTS.mkdir(parents=True, exist_ok=True)
+    (RESULTS / "BENCH_cache.json").write_text(
+        json.dumps(report, indent=2) + "\n", encoding="utf-8"
+    )
     print(
         f"\ncache throughput: cold {t_cold:.3f}s, warm {t_warm:.4f}s "
         f"({speedup:.0f}x), memory hit {backends['memory']['hit_us']:.1f}us, "
         f"disk-json hit {backends['disk-json']['hit_us']:.1f}us, "
-        f"sqlite hit {backends['sqlite']['json']['hit_us']:.1f}us, "
-        f"binary frame {codecs['binary_vs_json']['size_ratio']:.2f}x the "
-        f"JSON bytes"
+        f"sqlite hit {backends['sqlite']['hit_us']:.1f}us"
     )
 
 
 def _quick_smoke() -> int:
-    """CI smoke: tiny codec re-measurement; committed results must be fresh.
+    """CI smoke: tiny backend re-measurement; committed results must be fresh.
 
     "Fresh" means the committed ``BENCH_cache.json`` carries the
-    ``backends`` and ``envelope_codec`` sections this file writes — a PR
-    touching the cache-store or codec layers without regenerating the
-    numbers fails here.
+    ``backends`` section this file writes, with one entry per backend — a
+    PR touching the cache-store layer without regenerating the numbers
+    fails here.
     """
     power = figure1_power()
     requests = _requests([poisson_instance(200, seed=i) for i in range(3)], power)
     results = [api_solve(request) for request in requests]
-    envelopes = [result_to_dict(result) for result in results]
-    for envelope in envelopes:
-        assert binary_envelope_decode(binary_envelope_encode(envelope)) == json.loads(
-            json.dumps(envelope)
-        )
-    json_bytes = sum(len(encode_envelope(e, "json")) for e in envelopes)
-    binary_bytes = sum(len(encode_envelope(e, "binary")) for e in envelopes)
-    ratio = binary_bytes / json_bytes
+    backends = _measure_backends(requests, results)
     print(
-        f"quick smoke: 3 envelopes of 200 jobs — binary frames "
-        f"{binary_bytes}B vs JSON {json_bytes}B ({ratio:.2f}x)"
+        "quick smoke: 3 envelopes of 200 jobs — hit "
+        + ", ".join(
+            f"{name} {backends[name]['hit_us']:.1f}us"
+            for name in ("memory", "disk-json", "sqlite")
+        )
     )
-    if ratio >= 1.0:
-        print("FAIL: binary frames should not be larger than JSON lines")
-        return 1
 
     path = RESULTS / "BENCH_cache.json"
     if not path.exists():
         print(f"FAIL: {path} missing — regenerate with the full benchmark")
         return 1
-    data = json.loads(path.read_text(encoding="utf-8"))
+    committed = json.loads(path.read_text(encoding="utf-8")).get("backends")
+    if committed is None:
+        print(f"FAIL: {path} has no 'backends' section — regenerate with "
+              "the full benchmark")
+        return 1
     status = 0
-    for key in ("backends", "envelope_codec"):
-        if key not in data:
-            print(
-                f"FAIL: {path} has no {key!r} section — regenerate with "
-                "the full benchmark"
-            )
+    for backend in ("memory", "disk-json", "sqlite"):
+        if "hit_us" not in committed.get(backend, {}):
+            print(f"FAIL: {path} backends section lacks a {backend!r} hit latency")
             status = 1
-    if status == 0:
-        for backend in ("memory", "disk-json", "sqlite"):
-            if backend not in data["backends"]:
-                print(f"FAIL: {path} backends section lacks {backend!r}")
-                status = 1
-        for codec in ("json", "binary"):
-            if codec not in data["envelope_codec"]:
-                print(f"FAIL: {path} envelope_codec section lacks {codec!r}")
-                status = 1
     return status
 
 
@@ -290,9 +208,8 @@ if __name__ == "__main__":
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke: small codec re-measurement, assert binary frames "
-             "smaller and the committed BENCH_cache.json carries the "
-             "backend and codec sections",
+        help="CI smoke: small backend re-measurement, assert the committed "
+             "BENCH_cache.json carries the backend section",
     )
     args = parser.parse_args()
     if args.quick:

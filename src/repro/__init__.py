@@ -24,11 +24,10 @@ Subpackage map (see README.md and DESIGN.md for the full tour):
 * :mod:`repro.cache` -- the content-addressed result cache
   (:class:`~repro.cache.ResultCache`): canonical SHA-256 request keys, an
   in-process LRU front over an optional on-disk store.
-* :mod:`repro.service` -- the ``repro serve`` request loop: JSON-lines
-  solve-request envelopes in, result envelopes plus cache/latency metadata
-  out, over stdin/stdout or TCP; the hardened
-  :class:`~repro.service.AsyncServeLoop` adds deadlines, load shedding and
-  graceful drain.
+* :mod:`repro.service` -- the ``repro serve`` request loop
+  (:class:`~repro.service.AsyncServeLoop`): JSON-lines solve-request
+  envelopes in, result envelopes plus cache/latency metadata out, over
+  stdin/stdout or TCP, with deadlines, load shedding and graceful drain.
 * :mod:`repro.faults` -- deterministic fault injection
   (:class:`~repro.faults.FaultPlan`): seeded, scoped chaos threaded through
   the batch engine, cache and serve loop for reproducible robustness tests.

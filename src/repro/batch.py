@@ -30,8 +30,6 @@ when the solver registered a structure-of-arrays batched kernel
 :meth:`repro.api.SolverRegistry.run_batch` in one kernel call, byte-identical
 to the per-item path and an order of magnitude cheaper on fleets of small
 same-shape instances (``batch_kernel="auto"|"on"|"off"`` controls this).
-The legacy module-level :data:`SOLVERS` mapping survives only as
-a deprecated read-only view of the registry's batchable solvers.
 
 Exposed on the command line as ``repro batch`` (see :mod:`repro.cli`), and
 measured by ``benchmarks/bench_batch_throughput.py`` and
@@ -44,13 +42,12 @@ import json
 import math
 import os
 import time
-import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,7 +57,6 @@ from .cache import ResultCache, instance_digest
 from .core.job import Instance
 from .core.power import PowerFunction
 from .exceptions import InvalidInstanceError, VerificationError, WorkerTimeoutError
-from .io import ENVELOPE_CODECS
 from .faults import (
     JOURNAL_TORN,
     SOLVER_SLOW,
@@ -70,7 +66,7 @@ from .faults import (
     InjectedFault,
 )
 
-__all__ = ["BatchResult", "SOLVERS", "solve_many", "solve_stream"]
+__all__ = ["BatchResult", "solve_many", "solve_stream"]
 
 
 @dataclass(frozen=True)
@@ -103,60 +99,6 @@ class BatchResult:
         return self.error_code is None
 
 
-# ----------------------------------------------------------------------
-# deprecated registry view
-# ----------------------------------------------------------------------
-
-class _DeprecatedSolversView(Mapping):
-    """Read-only, deprecated view of the registry's batchable solvers.
-
-    Pre-registry code dispatched through ``batch.SOLVERS[name]`` with the
-    contract ``(instance, power, budget) -> (value, energy, speeds)``.  This
-    view keeps that contract alive (now routed through the registry) while
-    warning on lookups; enumerate :data:`repro.api.REGISTRY` instead.
-    """
-
-    def _names(self) -> tuple[str, ...]:
-        return REGISTRY.find(batchable=True)
-
-    def __getitem__(self, name: str) -> Callable:
-        warnings.warn(
-            "repro.batch.SOLVERS is deprecated; dispatch through "
-            "repro.api.REGISTRY / repro.solve instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if name not in self._names():
-            raise KeyError(name)
-
-        def legacy_solver(instance: Instance, power: PowerFunction, budget: float):
-            result = REGISTRY.run(
-                SolveRequest(instance=instance, power=power, solver=name, budget=budget)
-            )
-            return result.value, result.energy, result.speeds
-
-        return legacy_solver
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._names()
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._names())
-
-    def __len__(self) -> int:
-        return len(self._names())
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SOLVERS(deprecated view of {list(self._names())})"
-
-
-#: Deprecated: name -> (instance, power, budget) -> (value, energy, speeds).
-#: A read-only view of the batchable solvers in :data:`repro.api.REGISTRY`;
-#: new code should build a :class:`repro.api.SolveRequest` and call
-#: :func:`repro.solve` (or enumerate the registry) instead.
-SOLVERS: Mapping[str, Callable] = _DeprecatedSolversView()
-
-
 def _fire_item_faults(fault_plan: FaultPlan, index: int) -> None:
     """Consult the worker-site fault rules for one instance index.
 
@@ -177,17 +119,16 @@ def _fire_item_faults(fault_plan: FaultPlan, index: int) -> None:
         )
 
 
-def _solve_chunk(payload: tuple) -> list[tuple[BatchResult, dict | bytes | None]]:
+def _solve_chunk(payload: tuple) -> list[tuple[BatchResult, dict | None]]:
     """Worker entry point: solve one chunk of (index, instance, budget) items.
 
     Must stay module-level (and take a single picklable argument) so the
     process pool can ship it to workers; solver lookup happens by name in the
     worker, against the worker's own registry bootstrap.  Returns one
     ``(BatchResult, envelope)`` pair per item, where ``envelope`` is the
-    write-behind payload of the full result when ``with_envelopes`` is set —
-    the JSON-ready :func:`repro.io.result_to_dict` dict under
-    ``wire_codec="json"``, its :func:`repro.io.binary_envelope_encode` bytes
-    under ``"binary"`` — and ``None`` otherwise.
+    write-behind payload of the full result (the JSON-ready
+    :func:`repro.io.result_to_dict` dict) when ``with_envelopes`` is set,
+    and ``None`` otherwise.
 
     ``batch_kernel`` (``"auto"`` / ``"on"`` / ``"off"``) selects the
     structure-of-arrays tier: unless it is ``"off"``, items are bucketed by
@@ -199,24 +140,13 @@ def _solve_chunk(payload: tuple) -> list[tuple[BatchResult, dict | bytes | None]
     """
     (
         solver_name, power, items, verify, with_envelopes, fault_plan,
-        batch_kernel, wire_codec,
+        batch_kernel,
     ) = payload
     if verify:
         # lazy: repro.verify pulls solver machinery the plain path never needs
         from .verify import verify as verify_result
     if with_envelopes:
-        from .io import binary_envelope_encode, result_to_dict
-
-        def _ship(result: SolveResult):
-            envelope = result_to_dict(result)
-            # "binary" ships the envelope as one compact frame instead of a
-            # pickled dict-of-lists; the parent decodes before write-behind
-            # and the round trip is bit-exact, so cache bytes are identical
-            return (
-                binary_envelope_encode(envelope)
-                if wire_codec == "binary"
-                else envelope
-            )
+        from .io import result_to_dict
     requests = [
         SolveRequest(
             instance=instance, power=power, solver=solver_name, budget=budget
@@ -273,7 +203,7 @@ def _solve_chunk(payload: tuple) -> list[tuple[BatchResult, dict | bytes | None]
                     energy=float(result.energy),
                     speeds=result.speeds,
                 ),
-                _ship(result) if with_envelopes else None,
+                result_to_dict(result) if with_envelopes else None,
             )
         )
     return out
@@ -429,7 +359,6 @@ def solve_stream(
     chunk_timeout: float | None = None,
     fault_plan: FaultPlan | None = None,
     batch_kernel: str = "auto",
-    wire_codec: str = "json",
 ) -> Iterator[BatchResult]:
     """Solve many instances with one solver, yielding results as they complete.
 
@@ -502,14 +431,6 @@ def solve_stream(
         for every item and raises if the solver has none; ``"off"`` keeps
         the reference per-instance path.  Results are byte-identical across
         all three settings.
-    wire_codec:
-        Envelope format workers use to ship write-behind cache payloads back
-        to the parent: ``"json"`` (default) sends the plain
-        :func:`~repro.io.result_to_dict` dict, ``"binary"`` sends one
-        compact :func:`~repro.io.binary_envelope_encode` frame (cheaper to
-        pickle for speed-heavy results).  The parent decodes before caching,
-        so stored entries — and every yielded result — are byte-identical
-        across both settings.
 
     Raises
     ------
@@ -537,11 +458,6 @@ def solve_stream(
         raise InvalidInstanceError(
             f"batch_kernel='on' but solver {solver!r} registers no batched "
             f"kernel; solvers with one: {sorted(REGISTRY.find(batch_kernel=True))}"
-        )
-    if wire_codec not in ENVELOPE_CODECS:
-        raise InvalidInstanceError(
-            f"wire_codec must be one of {sorted(ENVELOPE_CODECS)}, "
-            f"got {wire_codec!r}"
         )
     instance_list = list(instances)
     count = len(instance_list)
@@ -585,7 +501,7 @@ def solve_stream(
     )
     return _stream_chunks(
         chunks, solver, power, workers, verify, cache, journal,
-        chunk_timeout, fault_plan, batch_kernel, wire_codec,
+        chunk_timeout, fault_plan, batch_kernel,
     )
 
 
@@ -637,7 +553,6 @@ def _stream_chunks(
     chunk_timeout: float | None,
     fault_plan: FaultPlan | None,
     batch_kernel: str,
-    wire_codec: str,
 ) -> Iterator[BatchResult]:
     """The generator behind :func:`solve_stream` (validation already done)."""
     want_envelopes = cache is not None
@@ -716,10 +631,6 @@ def _stream_chunks(
                 result, envelope = next(solved_iter)
                 record = True
                 if cache is not None and envelope is not None:
-                    if isinstance(envelope, (bytes, bytearray)):
-                        from .io import binary_envelope_decode
-
-                        envelope = binary_envelope_decode(envelope)
                     # write-behind: this point is only reached after the
                     # worker's verify (when enabled) passed
                     cache.put_envelope(_request(item), envelope)
@@ -748,7 +659,7 @@ def _stream_chunks(
                 solved = (
                     _solve_chunk(
                         (solver, power, missing, verify, want_envelopes,
-                         fault_plan, batch_kernel, wire_codec)
+                         fault_plan, batch_kernel)
                     )
                     if missing
                     else []
@@ -770,7 +681,7 @@ def _stream_chunks(
             return pool.submit(
                 _solve_chunk,
                 (solver, power, missing, verify, want_envelopes, fault_plan,
-                 batch_kernel, wire_codec),
+                 batch_kernel),
             )
 
         def _drain_one():
@@ -838,7 +749,6 @@ def solve_many(
     chunk_timeout: float | None = None,
     fault_plan: FaultPlan | None = None,
     batch_kernel: str = "auto",
-    wire_codec: str = "json",
 ) -> list[BatchResult]:
     """Solve many instances and return the full result list.
 
@@ -861,6 +771,5 @@ def solve_many(
             chunk_timeout=chunk_timeout,
             fault_plan=fault_plan,
             batch_kernel=batch_kernel,
-            wire_codec=wire_codec,
         )
     )

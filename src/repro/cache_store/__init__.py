@@ -47,20 +47,14 @@ STORE_BACKENDS = ("memory", "disk-json", "sqlite")
 _SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 
 
-def open_store(
-    backend: str,
-    directory: str | Path | None = None,
-    codec: str = "json",
-) -> CacheStore:
+def open_store(backend: str, directory: str | Path | None = None) -> CacheStore:
     """Construct a :class:`CacheStore` by backend name.
 
     ``directory`` is required for the persistent backends.  For
     ``"sqlite"`` it may point at the database file itself (any of
     ``.sqlite`` / ``.sqlite3`` / ``.db``) or at a directory, in which
     case the store lives at ``<directory>/cache.sqlite3`` — so one
-    ``--cache-dir`` flag serves every backend.  ``codec`` selects the
-    per-row envelope encoding of the sqlite backend (ignored by the
-    others, whose formats are pinned).
+    ``--cache-dir`` flag serves every backend.
     """
     if backend == "memory":
         return MemoryStore()
@@ -75,4 +69,4 @@ def open_store(
     path = Path(directory)
     if path.suffix not in _SQLITE_SUFFIXES:
         path = path / "cache.sqlite3"
-    return SqliteStore(path, codec=codec)
+    return SqliteStore(path)

@@ -8,13 +8,13 @@ writes from different processes are idempotent upserts rather than
 racing renames.  ``busy_timeout`` absorbs writer contention instead of
 surfacing ``database is locked`` errors.
 
-Result envelopes are stored as per-row blobs in either the JSON or the
-binary envelope codec (:mod:`repro.io`); the codec is recorded per row,
-so a store opened with ``codec="binary"`` still reads rows written as
-JSON and vice versa.  A corrupted or foreign database file degrades to
-misses on read and :class:`OSError` on write — never a crash — which
-plugs straight into :class:`~repro.cache.ResultCache`'s memory-only
-degradation and re-probe machinery.
+Result envelopes are stored as per-row JSON blobs.  The schema keeps a
+per-row ``codec`` column, always written as ``"json"``; a row recorded
+under any other codec (older stores could hold ``"binary"`` rows) reads
+as a corrupt miss.  A corrupted or foreign database file likewise
+degrades to misses on read and :class:`OSError` on write — never a crash
+— which plugs straight into :class:`~repro.cache.ResultCache`'s
+memory-only degradation and re-probe machinery.
 """
 
 from __future__ import annotations
@@ -44,20 +44,8 @@ class SqliteStore(CacheStore):
 
     backend = "sqlite"
 
-    def __init__(
-        self,
-        path: str | Path,
-        codec: str = "json",
-        busy_timeout: float = 30.0,
-    ) -> None:
-        from ..io import ENVELOPE_CODECS
-
-        if codec not in ENVELOPE_CODECS:
-            raise ValueError(
-                f"unknown envelope codec {codec!r}; expected one of {sorted(ENVELOPE_CODECS)}"
-            )
+    def __init__(self, path: str | Path, busy_timeout: float = 30.0) -> None:
         self.path = Path(path)
-        self.codec = codec
         self.busy_timeout = float(busy_timeout)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # one connection per thread (sqlite3 connections are not safe to
@@ -89,24 +77,6 @@ class SqliteStore(CacheStore):
         return conn
 
     # ------------------------------------------------------------------
-    # envelope blobs
-    # ------------------------------------------------------------------
-    def _encode(self, envelope: dict[str, Any]) -> bytes:
-        if self.codec == "binary":
-            from ..io import binary_envelope_encode
-
-            return binary_envelope_encode(envelope)
-        return json.dumps(envelope, sort_keys=True).encode("utf-8")
-
-    @staticmethod
-    def _decode(blob: bytes, codec: str) -> Any:
-        if codec == "binary":
-            from ..io import binary_envelope_decode
-
-            return binary_envelope_decode(blob)
-        return json.loads(bytes(blob).decode("utf-8"))
-
-    # ------------------------------------------------------------------
     # CacheStore contract
     # ------------------------------------------------------------------
     def read(self, key: str) -> tuple[dict[str, Any] | None, bool]:
@@ -119,9 +89,11 @@ class SqliteStore(CacheStore):
         if row is None:
             return None, False
         solver, codec, blob = row
+        if codec != "json":
+            return None, True
         try:
-            envelope = self._decode(blob, codec)
-        except Exception:
+            envelope = json.loads(bytes(blob).decode("utf-8"))
+        except (TypeError, ValueError):
             return None, True
         entry = validate_entry(
             {"kind": ENTRY_KIND, "key": key, "solver": solver, "result": envelope},
@@ -131,14 +103,14 @@ class SqliteStore(CacheStore):
 
     def write(self, key: str, entry: dict[str, Any]) -> None:
         try:
-            blob = self._encode(entry["result"])
+            blob = json.dumps(entry["result"], sort_keys=True).encode("utf-8")
             conn = self._conn()
             conn.execute(
                 "INSERT INTO entries (key, solver, codec, envelope) VALUES (?, ?, ?, ?) "
                 "ON CONFLICT(key) DO UPDATE SET "
                 "solver = excluded.solver, codec = excluded.codec, "
                 "envelope = excluded.envelope",
-                (key, entry.get("solver"), self.codec, blob),
+                (key, entry.get("solver"), "json", blob),
             )
             conn.commit()
         except sqlite3.Error as exc:

@@ -453,7 +453,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         run_dir=args.run_dir,
         chunk_timeout=args.chunk_timeout,
         batch_kernel=args.batch_kernel,
-        wire_codec=args.wire_codec,
     )
     elapsed = time.perf_counter() - start
     throughput = len(results) / elapsed if elapsed > 0 else float("inf")
@@ -879,10 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "registered, on forces it (error if the solver has "
                         "none), off keeps the per-instance reference path; "
                         "results are byte-identical either way")
-    p.add_argument("--wire-codec", choices=("json", "binary"), default="json",
-                   help="envelope format workers use to ship write-behind "
-                        "cache payloads to the parent (results and cached "
-                        "bytes are identical either way)")
     p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
     p.set_defaults(func=_cmd_batch)
 

@@ -24,7 +24,6 @@ pickled, to keep the files portable and safe to load.
 from __future__ import annotations
 
 import json
-import struct
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -74,11 +73,6 @@ __all__ = [
     "serve_response_from_dict",
     "report_to_dict",
     "report_from_dict",
-    "ENVELOPE_CODECS",
-    "binary_envelope_encode",
-    "binary_envelope_decode",
-    "encode_envelope",
-    "decode_envelope",
 ]
 
 _FORMAT_VERSION = 1
@@ -808,250 +802,3 @@ def serve_response_from_dict(data: dict[str, Any]) -> tuple[Any, SolveResult, di
     if not isinstance(serve, dict):
         raise InvalidInstanceError("serve-response 'serve' must be an object")
     return data.get("id"), result_from_dict(data.get("result")), dict(serve)
-
-# ----------------------------------------------------------------------
-# envelope codecs (wire formats)
-# ----------------------------------------------------------------------
-#
-# Two ways to put one envelope dict on a wire or in a blob column:
-#
-# * ``"json"`` — one ``json.dumps`` text line, the historical and default
-#   format (golden-pinned transcripts).
-# * ``"binary"`` — a compact msgpack-style tagged encoding in which float
-#   arrays (the ``speeds`` payload that dominates large envelopes) travel
-#   as one raw little-endian float64 block instead of decimal text.  The
-#   round trip is exact: floats come back bit-identical, so a binary
-#   envelope re-encoded as JSON equals the JSON of the original.
-#
-# ``repro serve`` negotiates the codec per connection (JSON until a client
-# asks), the sqlite cache store uses it per row, and the batch engine's
-# write-behind path can ship worker envelopes in it.
-
-#: Codec names negotiable on a serve connection / storable per sqlite row.
-ENVELOPE_CODECS = ("json", "binary")
-
-#: Magic + version prefix of every binary envelope ("Repro Binary Envelope").
-_BINARY_MAGIC = b"RBE1"
-
-_TAG_NULL = 0x00
-_TAG_FALSE = 0x01
-_TAG_TRUE = 0x02
-_TAG_INT = 0x03
-_TAG_FLOAT = 0x04
-_TAG_STR = 0x05
-_TAG_LIST = 0x06
-_TAG_DICT = 0x07
-_TAG_F64ARRAY = 0x08
-
-_U32 = struct.Struct("<I")
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
-
-
-def _binary_write(value: Any, out: bytearray) -> None:
-    if value is None:
-        out.append(_TAG_NULL)
-    elif value is True:
-        out.append(_TAG_TRUE)
-    elif value is False:
-        out.append(_TAG_FALSE)
-    elif isinstance(value, (int, np.integer)):
-        out.append(_TAG_INT)
-        try:
-            out += _I64.pack(int(value))
-        except struct.error as exc:
-            raise InvalidInstanceError(
-                f"binary envelope integers must fit int64, got {value!r}"
-            ) from exc
-    elif isinstance(value, (float, np.floating)):
-        out.append(_TAG_FLOAT)
-        out += _F64.pack(float(value))
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out.append(_TAG_STR)
-        out += _U32.pack(len(raw))
-        out += raw
-    elif isinstance(value, np.ndarray):
-        if value.ndim != 1:
-            raise InvalidInstanceError(
-                f"binary envelope arrays must be 1-D, got shape {value.shape}"
-            )
-        block = np.ascontiguousarray(value, dtype="<f8")
-        out.append(_TAG_F64ARRAY)
-        out += _U32.pack(block.size)
-        out += block.tobytes()
-    elif isinstance(value, (list, tuple)):
-        # the hot case: a pure-float list (speeds) becomes one raw block
-        if value and all(type(item) is float for item in value):
-            out.append(_TAG_F64ARRAY)
-            out += _U32.pack(len(value))
-            out += np.asarray(value, dtype="<f8").tobytes()
-        else:
-            out.append(_TAG_LIST)
-            out += _U32.pack(len(value))
-            for item in value:
-                _binary_write(item, out)
-    elif isinstance(value, dict):
-        out.append(_TAG_DICT)
-        out += _U32.pack(len(value))
-        for dict_key, item in value.items():
-            if not isinstance(dict_key, str):
-                raise InvalidInstanceError(
-                    f"binary envelope dict keys must be strings, "
-                    f"got {type(dict_key).__name__}"
-                )
-            raw = dict_key.encode("utf-8")
-            out += _U32.pack(len(raw))
-            out += raw
-            _binary_write(item, out)
-    else:
-        raise InvalidInstanceError(
-            f"value of type {type(value).__name__} is not binary-envelope-encodable"
-        )
-
-
-def _binary_need(view: memoryview, offset: int, count: int) -> None:
-    if offset + count > len(view):
-        raise InvalidInstanceError(
-            f"truncated binary envelope: need {count} bytes at offset {offset}, "
-            f"have {len(view) - offset}"
-        )
-
-
-def _binary_read(view: memoryview, offset: int) -> tuple[Any, int]:
-    _binary_need(view, offset, 1)
-    tag = view[offset]
-    offset += 1
-    if tag == _TAG_NULL:
-        return None, offset
-    if tag == _TAG_TRUE:
-        return True, offset
-    if tag == _TAG_FALSE:
-        return False, offset
-    if tag == _TAG_INT:
-        _binary_need(view, offset, 8)
-        return _I64.unpack_from(view, offset)[0], offset + 8
-    if tag == _TAG_FLOAT:
-        _binary_need(view, offset, 8)
-        return _F64.unpack_from(view, offset)[0], offset + 8
-    if tag == _TAG_STR:
-        _binary_need(view, offset, 4)
-        (length,) = _U32.unpack_from(view, offset)
-        offset += 4
-        _binary_need(view, offset, length)
-        try:
-            text = bytes(view[offset : offset + length]).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise InvalidInstanceError(f"malformed binary envelope string: {exc}") from exc
-        return text, offset + length
-    if tag == _TAG_F64ARRAY:
-        _binary_need(view, offset, 4)
-        (count,) = _U32.unpack_from(view, offset)
-        offset += 4
-        _binary_need(view, offset, count * 8)
-        block = np.frombuffer(view, dtype="<f8", count=count, offset=offset)
-        return block.tolist(), offset + count * 8
-    if tag == _TAG_LIST:
-        _binary_need(view, offset, 4)
-        (count,) = _U32.unpack_from(view, offset)
-        offset += 4
-        items = []
-        for _ in range(count):
-            item, offset = _binary_read(view, offset)
-            items.append(item)
-        return items, offset
-    if tag == _TAG_DICT:
-        _binary_need(view, offset, 4)
-        (count,) = _U32.unpack_from(view, offset)
-        offset += 4
-        payload: dict[str, Any] = {}
-        for _ in range(count):
-            _binary_need(view, offset, 4)
-            (length,) = _U32.unpack_from(view, offset)
-            offset += 4
-            _binary_need(view, offset, length)
-            try:
-                dict_key = bytes(view[offset : offset + length]).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise InvalidInstanceError(
-                    f"malformed binary envelope dict key: {exc}"
-                ) from exc
-            offset += length
-            payload[dict_key], offset = _binary_read(view, offset)
-        return payload, offset
-    raise InvalidInstanceError(f"unknown binary envelope tag 0x{tag:02x}")
-
-
-def binary_envelope_encode(payload: Any) -> bytes:
-    """Encode one JSON-ready envelope value as a binary envelope body.
-
-    Accepts exactly what ``json.dumps`` would (plus 1-D float64 ndarrays
-    and numpy scalars); pure-float lists are written as raw little-endian
-    float64 blocks.  The encoding is exact — floats round-trip
-    bit-identically — and deterministic for a given dict insertion order.
-    Raises :class:`~repro.exceptions.InvalidInstanceError` for values
-    outside the envelope vocabulary (e.g. integers beyond int64).
-    """
-    out = bytearray(_BINARY_MAGIC)
-    _binary_write(payload, out)
-    return bytes(out)
-
-
-def binary_envelope_decode(data: bytes | bytearray | memoryview) -> Any:
-    """Decode a :func:`binary_envelope_encode` body back to its value.
-
-    Raises :class:`~repro.exceptions.InvalidInstanceError` on a bad magic
-    prefix, truncation, unknown tags, or trailing bytes — a torn or
-    foreign blob is a structured error, never a crash or a wrong value.
-    """
-    view = memoryview(data)
-    if bytes(view[:4]) != _BINARY_MAGIC:
-        raise InvalidInstanceError(
-            f"not a binary envelope: bad magic {bytes(view[:4])!r}"
-        )
-    value, offset = _binary_read(view, 4)
-    if offset != len(view):
-        raise InvalidInstanceError(
-            f"malformed binary envelope: {len(view) - offset} trailing bytes"
-        )
-    return value
-
-
-def encode_envelope(payload: Any, codec: str = "json") -> bytes:
-    """One wire frame of ``payload`` under ``codec``.
-
-    ``"json"``: a UTF-8 ``json.dumps`` line ending in ``\\n`` (byte-identical
-    to the historical serve output).  ``"binary"``: a 4-byte little-endian
-    length prefix followed by the :func:`binary_envelope_encode` body.
-    """
-    if codec == "json":
-        return (json.dumps(payload) + "\n").encode("utf-8")
-    if codec == "binary":
-        body = binary_envelope_encode(payload)
-        return _U32.pack(len(body)) + body
-    raise InvalidInstanceError(
-        f"unknown envelope codec {codec!r}; expected one of {sorted(ENVELOPE_CODECS)}"
-    )
-
-
-def decode_envelope(frame: bytes | bytearray | memoryview, codec: str = "json") -> Any:
-    """Decode one :func:`encode_envelope` wire frame back to its payload."""
-    if codec == "json":
-        try:
-            return json.loads(bytes(frame).decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise InvalidInstanceError(f"malformed JSON envelope frame: {exc}") from exc
-    if codec == "binary":
-        view = memoryview(frame)
-        if len(view) < 4:
-            raise InvalidInstanceError("truncated binary envelope frame: no length prefix")
-        (length,) = _U32.unpack_from(view, 0)
-        if length != len(view) - 4:
-            raise InvalidInstanceError(
-                f"binary envelope frame length mismatch: prefix says {length}, "
-                f"body has {len(view) - 4} bytes"
-            )
-        return binary_envelope_decode(view[4:])
-    raise InvalidInstanceError(
-        f"unknown envelope codec {codec!r}; expected one of {sorted(ENVELOPE_CODECS)}"
-    )

@@ -84,7 +84,8 @@ class _MutableBlock:
     start_time: float
     work: float
     speed: float  # math.inf allowed (coincident releases); <= 0 means "must merge"
-    energy: float  # energy at the current speed; 0 for the final block until fixed
+    energy: float  # energy at the current speed; 0 for the final block
+    below: float  # total energy of the blocks beneath this one on the stack
 
 
 def incmerge(
@@ -131,9 +132,8 @@ def incmerge(
         init_energies = np.empty(0)
 
     stack: list[_MutableBlock] = []
-    fixed_energy = 0.0  # total energy of the *non-final* blocks currently on the stack
 
-    def final_speed(work: float) -> float:
+    def final_speed(work: float, fixed_energy: float) -> float:
         """Speed of the final block when it must spend the leftover budget."""
         remaining = energy_budget - fixed_energy
         if remaining <= 0.0:
@@ -142,10 +142,17 @@ def incmerge(
             return 0.0
         return speed_for_energy_fn(work, remaining)
 
+    # The energy of the fixed blocks is kept as a prefix sum per stack entry
+    # (``below``), never as one running total: a merge pops its two blocks
+    # and reuses the lower one's prefix.  Subtracting a transient block's
+    # energy from a running total instead leaves rounding error proportional
+    # to that energy, and a release gap of ~1e-6 makes it ~1e12, enough to
+    # leave the final block measurably short of the budget.
     for i in range(n):
+        below = stack[-1].below + stack[-1].energy if stack else 0.0
         is_last = i == n - 1
         if is_last:
-            speed = final_speed(works[i])
+            speed = final_speed(works[i], below)
             energy = 0.0
         else:
             speed = float(init_speeds[i])
@@ -157,9 +164,8 @@ def incmerge(
             work=float(works[i]),
             speed=speed,
             energy=energy,
+            below=below,
         )
-        if not is_last:
-            fixed_energy += energy
         stack.append(block)
 
         # merge while the last block runs slower than its predecessor
@@ -170,12 +176,9 @@ def incmerge(
             merged_first = prev.first
             merged_work = top.work + prev.work
             merged_start = prev.start_time
-            # both constituent blocks leave the "fixed" pool (a final block
-            # contributes 0 there by construction)
-            fixed_energy -= prev.energy + top.energy
             if merged_last == n - 1:
                 # merged block is the final block: speed from leftover energy
-                merged_speed = final_speed(merged_work)
+                merged_speed = final_speed(merged_work, prev.below)
                 merged_energy = 0.0
             else:
                 window = releases[merged_last + 1] - merged_start
@@ -183,7 +186,6 @@ def incmerge(
                 merged_energy = (
                     0.0 if math.isinf(merged_speed) else energy_fn(merged_work, merged_speed)
                 )
-                fixed_energy += merged_energy
             stack.append(
                 _MutableBlock(
                     first=merged_first,
@@ -192,16 +194,12 @@ def incmerge(
                     work=merged_work,
                     speed=merged_speed,
                     energy=merged_energy,
+                    below=prev.below,
                 )
             )
 
-    # the final block's speed may still be the provisional value computed when
-    # it was pushed; recompute it now that fixed_energy is final (it is already
-    # consistent, but recomputing guards against drift from the merge loop).
-    stack[-1].speed = final_speed(stack[-1].work)
     if stack[-1].speed <= 0.0:  # pragma: no cover - defensive; cannot happen with E > 0
         raise BudgetError("energy budget too small to schedule the final block")
-    stack[-1].energy = energy_fn(stack[-1].work, stack[-1].speed)
 
     blocks: list[Block] = []
     for mutable in stack:

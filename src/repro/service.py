@@ -22,36 +22,33 @@ the answer came from the content-addressed cache (``"hit"`` / ``"miss"`` /
 makes transcripts byte-reproducible), and — with verification enabled —
 whether the result passed its certificate checks.
 
-Two loop implementations share the protocol:
+One loop, :class:`AsyncServeLoop`, serves the protocol over stdio
+(:meth:`~AsyncServeLoop.run_stream`, any text-stream pair; the byte-pinned
+path of ``tests/golden/serve_transcript.txt``) and over TCP
+(:meth:`~AsyncServeLoop.serve_tcp`).  Besides answering requests it has
+the robustness semantics a production tier needs:
 
-* :func:`serve_stream` -- the synchronous reference loop over any
-  text-stream pair; returns a :class:`ServeStats` tally at EOF.  This is
-  the byte-pinned path (``tests/golden/serve_transcript.txt``).
-* :class:`AsyncServeLoop` -- the hardened asyncio server behind the
-  ``repro serve`` CLI, for both stdio and TCP.  It adds the robustness
-  semantics a production tier needs:
-
-  - **deadlines** -- a request carrying ``deadline_ms`` (or the server
-    default) that expires while queued or mid-solve is answered with a
-    structured ``deadline-exceeded`` envelope, never a late result; a
-    solve thread hung past the deadline is abandoned and replaced.
-  - **load shedding** -- admission is a bounded queue; beyond
-    ``max_pending`` in-flight requests, new ones are shed immediately
-    with an ``overloaded`` envelope whose ``serve.retry_after_ms`` is the
-    server's backoff hint (EWMA service time × queue depth).
-  - **graceful drain** -- SIGTERM/SIGINT (or EOF, or a ``drain`` control
-    request) stops accepting, finishes the in-flight work, flushes every
-    pending response and exits cleanly; the CLI then prints one final
-    stats line to stderr.
-  - **control requests** -- a line like ``{"op": "stats"}`` bypasses the
-    solve queue and answers immediately with a ``serve-control`` envelope
-    (``stats`` returns QPS, cache hit ratio, shed/deadline-miss counts and
-    p50/p99 latency; ``ping`` answers trivially; ``drain`` initiates a
-    graceful drain).
-  - **fault injection** -- an explicit :class:`repro.faults.FaultPlan`
-    threads seeded chaos (worker exception/hang, slow solver, connection
-    drop) through the loop for reproducible robustness tests
-    (``tools/chaos_smoke.py`` runs a canned plan in CI).
+- **deadlines** -- a request carrying ``deadline_ms`` (or the server
+  default) that expires while queued or mid-solve is answered with a
+  structured ``deadline-exceeded`` envelope, never a late result; a solve
+  thread hung past the deadline is abandoned and replaced.
+- **load shedding** -- admission is a bounded queue; beyond ``max_pending``
+  in-flight requests, new ones are shed immediately with an ``overloaded``
+  envelope whose ``serve.retry_after_ms`` is the server's backoff hint
+  (EWMA service time × queue depth).
+- **graceful drain** -- SIGTERM/SIGINT (or EOF, or a ``drain`` control
+  request) stops accepting, finishes the in-flight work, flushes every
+  pending response and exits cleanly; the CLI then prints one final stats
+  line to stderr.
+- **control requests** -- a line like ``{"op": "stats"}`` bypasses the
+  solve queue and answers immediately with a ``serve-control`` envelope
+  (``stats`` returns QPS, cache hit ratio, shed/deadline-miss counts and
+  p50/p99 latency; ``ping`` answers trivially; ``drain`` initiates a
+  graceful drain).
+- **fault injection** -- an explicit :class:`repro.faults.FaultPlan`
+  threads seeded chaos (worker exception/hang, slow solver, connection
+  drop) through the loop for reproducible robustness tests
+  (``tools/chaos_smoke.py`` runs a canned plan in CI).
 
 Per-connection response order always matches request order (responses are
 funnelled through one writer per connection, so concurrent clients never
@@ -68,7 +65,6 @@ import dataclasses
 import json
 import queue as _queue_mod
 import signal
-import struct
 import threading
 import time
 from collections import deque
@@ -93,17 +89,11 @@ from .faults import (
     FaultPlan,
     InjectedFault,
 )
-from .io import (
-    ENVELOPE_CODECS,
-    binary_envelope_decode,
-    encode_envelope,
-    request_from_dict,
-    serve_response_to_dict,
-)
+from .io import request_from_dict, serve_response_to_dict
 
-__all__ = ["ServeStats", "handle_request_line", "serve_stream", "AsyncServeLoop"]
+__all__ = ["ServeStats", "AsyncServeLoop"]
 
-#: Routing modes the serve loops understand.  ``off`` preserves the legacy
+#: Routing modes the serve loop understands.  ``off`` preserves the legacy
 #: dispatch byte-for-byte; ``sla`` reroutes accuracy-carrying requests
 #: through :meth:`repro.api.SolverRegistry.route` — exact when cheap,
 #: certified-approximate under pressure.
@@ -115,53 +105,10 @@ DEFAULT_MAX_PENDING = 64
 #: Backoff hint handed out before any solve has completed (no EWMA yet).
 _DEFAULT_RETRY_AFTER_MS = 50.0
 
-#: Hard cap on one binary request frame; a length prefix beyond this is a
-#: protocol violation (or garbage) and drops the connection rather than
-#: letting one client make the server allocate gigabytes.
-MAX_BINARY_FRAME_BYTES = 64 * 1024 * 1024
-
-#: The binary frame length prefix (little-endian u32, matches repro.io).
-_U32_STRUCT = struct.Struct("<I")
-
-
-class _ConnState:
-    """Per-connection wire state: which codec each direction speaks.
-
-    The read side switches the moment a ``codec`` op is admitted (the
-    client's next frame is already in the new format); the write side
-    switches only after the acceptance response has been flushed in the
-    old format, so the client always reads the acknowledgement in the
-    codec it negotiated *from*.
-    """
-
-    __slots__ = ("read_codec", "write_codec", "binary_capable")
-
-    def __init__(self, binary_capable: bool = False) -> None:
-        self.read_codec = "json"
-        self.write_codec = "json"
-        self.binary_capable = binary_capable
-
-
-class _CodecSwitch:
-    """A resolved response that flips the write codec once it is flushed."""
-
-    __slots__ = ("payload", "codec")
-
-    def __init__(self, payload: dict[str, Any], codec: str) -> None:
-        self.payload = payload
-        self.codec = codec
-
-
-#: Marker messages a transport's ``read_message`` can yield besides text
-#: lines: an already-decoded binary payload, or a frame that failed to
-#: decode (served a structured error instead of killing the connection).
-_FRAME = "frame"
-_FRAME_ERROR = "frame-error"
-
 
 @dataclass
 class ServeStats:
-    """Tally of one serve loop (or one async server's lifetime)."""
+    """Tally of one serve run (a stream to EOF, or a TCP server's lifetime)."""
 
     requests: int = 0
     ok: int = 0
@@ -171,16 +118,6 @@ class ServeStats:
     shed: int = 0
     deadline_misses: int = 0
     routed: int = 0
-
-    def merge(self, other: "ServeStats") -> None:
-        self.requests += other.requests
-        self.ok += other.ok
-        self.errors += other.errors
-        self.cache_hits += other.cache_hits
-        self.verify_failures += other.verify_failures
-        self.shed += other.shed
-        self.deadline_misses += other.deadline_misses
-        self.routed += other.routed
 
     def summary(self) -> str:
         """One human-readable line (the CLI prints it to stderr on shutdown)."""
@@ -197,155 +134,6 @@ class ServeStats:
             parts.append(f"{self.routed} routed")
         return ", ".join(parts)
 
-
-def _route_request(
-    request: SolveRequest, latency_budget_ms: float | None = None
-) -> tuple[SolveRequest, Any]:
-    """Route an accuracy-carrying request; returns ``(dispatch_request, decision)``.
-
-    ``decision`` is ``None`` when routing does not apply (no accuracy knob).
-    The dispatch request is the original with only its ``solver`` replaced,
-    so accuracy/latency expectations survive into verification and the
-    cache key reflects the solver that actually answered.
-    """
-    if request.accuracy is None:
-        return request, None
-    decision = REGISTRY.route(request, latency_budget_ms=latency_budget_ms)
-    if decision.solver == request.solver:
-        return request, decision
-    return dataclasses.replace(request, solver=decision.solver), decision
-
-
-def handle_request_line(
-    line: str,
-    cache: ResultCache | None = None,
-    verify: bool = False,
-    timing: bool = True,
-    stats: ServeStats | None = None,
-    routing: str = "off",
-) -> dict[str, Any]:
-    """Answer one protocol line; always returns a response object.
-
-    Never raises for request reasons: unparseable JSON and malformed
-    envelopes become structured error results (stable codes from
-    :mod:`repro.exceptions`), solver failures come back through the
-    :func:`repro.solve` serving contract, and only programming errors
-    propagate.
-
-    ``routing="sla"`` reroutes requests that carry an ``accuracy`` target
-    through the registry's cost-model router (using the request's own
-    ``latency_budget_ms``; this synchronous loop has no queue pressure
-    signal).  The default ``"off"`` preserves legacy dispatch byte-for-byte.
-    """
-    if routing not in ROUTING_MODES:
-        raise InvalidInstanceError(
-            f"routing must be one of {ROUTING_MODES}, got {routing!r}"
-        )
-    started = time.perf_counter()
-    request = None
-    dispatch = None
-    decision = None
-    request_id = None
-    cache_state = "off" if cache is None else "miss"
-    try:
-        data = json.loads(line)
-        if isinstance(data, dict):
-            request_id = data.get("id")
-        request = request_from_dict(data)
-    except json.JSONDecodeError as exc:
-        result = SolveResult.failure(
-            "<request>", InvalidInstanceError(f"unparseable request line: {exc}")
-        )
-    except ReproError as exc:
-        result = SolveResult.failure("<request>", exc)
-    else:
-        dispatch = request
-        if routing == "sla":
-            dispatch, decision = _route_request(request)
-        hit = cache.get(dispatch) if cache is not None else None
-        if hit is not None:
-            cache_state = "hit"
-            result = hit
-        else:
-            result = api_solve(dispatch)
-
-    serve_meta: dict[str, Any] = {"cache": cache_state}
-    if decision is not None:
-        serve_meta["routed_solver"] = decision.solver
-    if result.ok and result.approximation is not None:
-        serve_meta["epsilon"] = result.approximation.get("epsilon")
-        certificate = result.approximation.get("certificate")
-        if certificate is not None:
-            serve_meta["certificate"] = certificate
-    if verify and dispatch is not None and result.ok:
-        report = api_verify(dispatch, result)
-        serve_meta["verified"] = report.ok
-        if not report.ok:
-            serve_meta["findings"] = list(report.codes())
-            if stats is not None:
-                stats.verify_failures += 1
-    if (
-        cache is not None
-        and cache_state == "miss"
-        and dispatch is not None
-        and result.ok
-        and serve_meta.get("verified", True)
-    ):
-        # write-behind, after verification (when enabled) passed
-        cache.put(dispatch, result)
-    if timing:
-        serve_meta["latency_ms"] = round((time.perf_counter() - started) * 1e3, 3)
-
-    if stats is not None:
-        stats.requests += 1
-        if result.ok:
-            stats.ok += 1
-        else:
-            stats.errors += 1
-        if cache_state == "hit":
-            stats.cache_hits += 1
-        if decision is not None and dispatch is not request:
-            stats.routed += 1
-    return serve_response_to_dict(result, request_id, serve_meta)
-
-
-def serve_stream(
-    in_stream: Iterable[str] | TextIO,
-    out_stream: TextIO,
-    cache: ResultCache | None = None,
-    verify: bool = False,
-    timing: bool = True,
-    stats: ServeStats | None = None,
-    routing: str = "off",
-) -> ServeStats:
-    """Run the request loop over a text-stream pair until EOF.
-
-    Blank lines are skipped; every other line gets exactly one response
-    line, flushed immediately so pipelined clients see answers as they are
-    produced.  Returns the loop's :class:`ServeStats`; pass your own
-    ``stats`` to tally in place — it stays accurate even if the loop is
-    interrupted mid-stream (how the CLI reports after SIGINT).
-    """
-    tally = ServeStats() if stats is None else stats
-    for line in in_stream:
-        if not line.strip():
-            continue
-        response = handle_request_line(
-            line,
-            cache=cache,
-            verify=verify,
-            timing=timing,
-            stats=tally,
-            routing=routing,
-        )
-        out_stream.write(json.dumps(response) + "\n")
-        out_stream.flush()
-    return tally
-
-
-# ----------------------------------------------------------------------
-# the async serving tier
-# ----------------------------------------------------------------------
 
 class _SolvePool:
     """Daemon-thread solve pool that survives hung solves.
@@ -574,91 +362,35 @@ class AsyncServeLoop:
             response["error"] = {
                 "code": InvalidInstanceError.code,
                 "message": f"unknown control op {op!r}; known ops: "
-                           "['codec', 'drain', 'ping', 'stats']",
+                           "['drain', 'ping', 'stats']",
             }
         return response
 
-    def _codec_response(
-        self, data: dict[str, Any], conn: _ConnState
-    ) -> tuple[dict[str, Any], str | None]:
-        """The ``codec`` negotiation op: ``(response, accepted codec | None)``."""
-        requested = data.get("codec")
-        response: dict[str, Any] = {
-            "kind": "serve-control",
-            "id": data.get("id"),
-            "op": "codec",
-            "codec": requested,
-            "accepted": False,
-        }
-        if requested not in ENVELOPE_CODECS:
-            response["error"] = {
-                "code": InvalidInstanceError.code,
-                "message": f"unknown envelope codec {requested!r}; known codecs: "
-                           f"{sorted(ENVELOPE_CODECS)}",
-            }
-            return response, None
-        if requested == "binary" and not conn.binary_capable:
-            response["error"] = {
-                "code": InvalidInstanceError.code,
-                "message": "binary codec needs a byte transport; this "
-                           "connection is text-only (stdio)",
-            }
-            return response, None
-        response["accepted"] = True
-        return response, requested
+    def _admit(self, line: str) -> asyncio.Future:
+        """One request line in, one future of a response object out.
 
-    def _admit(self, message: Any, conn: _ConnState) -> asyncio.Future:
-        """One request message in, one future of a response object out.
-
-        ``message`` is a raw text line (JSON mode), an already-decoded
-        binary frame payload (``(_FRAME, data)``) or a frame decode error
-        (``(_FRAME_ERROR, message)``).  Control requests, malformed input
-        and shed requests resolve immediately; everything else joins the
-        bounded admission queue.
+        Control requests, malformed input and shed requests resolve
+        immediately; everything else joins the bounded admission queue.
         """
         assert self._loop is not None and self._queue is not None
         arrival = time.monotonic()
         fut: asyncio.Future = self._loop.create_future()
         cache_state = "off" if self.cache is None else "miss"
 
-        if isinstance(message, str):
-            try:
-                data = json.loads(message)
-            except json.JSONDecodeError as exc:
-                result = SolveResult.failure(
-                    "<request>",
-                    InvalidInstanceError(f"unparseable request line: {exc}"),
-                )
-                fut.set_result(
-                    self._finish_immediate(result, None, {"cache": cache_state}, arrival)
-                )
-                return fut
-        elif message[0] == _FRAME_ERROR:
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
             result = SolveResult.failure(
                 "<request>",
-                InvalidInstanceError(f"unparseable request frame: {message[1]}"),
+                InvalidInstanceError(f"unparseable request line: {exc}"),
             )
             fut.set_result(
                 self._finish_immediate(result, None, {"cache": cache_state}, arrival)
             )
             return fut
-        else:
-            data = message[1]
 
         if isinstance(data, dict) and isinstance(data.get("op"), str):
-            op = data["op"]
-            if op == "codec":
-                response, accepted = self._codec_response(data, conn)
-                if accepted is not None:
-                    # the client's next frame is already in the new codec;
-                    # our side of the switch waits until this response is
-                    # flushed (the writer unwraps the _CodecSwitch)
-                    conn.read_codec = accepted
-                    fut.set_result(_CodecSwitch(response, accepted))
-                else:
-                    fut.set_result(response)
-                return fut
-            fut.set_result(self._control_response(data, op))
+            fut.set_result(self._control_response(data, data["op"]))
             return fut
 
         request_id = data.get("id") if isinstance(data, dict) else None
@@ -766,14 +498,15 @@ class AsyncServeLoop:
                 result = SolveResult.failure("<request>", exc)
             else:
                 if self.routing == "sla" and request.accuracy is not None:
-                    original = request
-                    request, decision = _route_request(
-                        original,
-                        latency_budget_ms=self._effective_budget_ms(
-                            original, pending
-                        ),
+                    decision = REGISTRY.route(
+                        request,
+                        latency_budget_ms=self._effective_budget_ms(request, pending),
                     )
-                    if request is not original:
+                    if decision.solver != request.solver:
+                        # only the solver changes: the accuracy/latency
+                        # expectations survive into verification, and the
+                        # cache key names the solver that answered
+                        request = dataclasses.replace(request, solver=decision.solver)
                         self.stats.routed += 1
                 hit = cache.get(request) if cache is not None else None
                 if hit is not None:
@@ -925,14 +658,11 @@ class AsyncServeLoop:
 
     async def _conn_loop(
         self,
-        read_message: Callable[[], Awaitable[Any]],
+        read_line: Callable[[], Awaitable[str | None]],
         write_message: Callable[[dict[str, Any]], Awaitable[None]],
         abort: Callable[[], None] | None = None,
-        conn: _ConnState | None = None,
     ) -> None:
-        """One connection: read messages, admit, write responses in FIFO order."""
-        if conn is None:
-            conn = _ConnState()
+        """One connection: read lines, admit, write responses in FIFO order."""
         responses: asyncio.Queue = asyncio.Queue()
 
         async def writer() -> None:
@@ -941,9 +671,6 @@ class AsyncServeLoop:
                 if fut is None:
                     return
                 response = await fut
-                switch: str | None = None
-                if isinstance(response, _CodecSwitch):
-                    switch, response = response.codec, response.payload
                 if self.fault_plan is not None:
                     rule = self.fault_plan.fire(CONNECTION_DROP)
                     if rule is not None:
@@ -954,19 +681,16 @@ class AsyncServeLoop:
                     await write_message(response)
                 except (BrokenPipeError, ConnectionResetError, OSError):
                     return  # client went away; keep serving everyone else
-                if switch is not None:
-                    # acceptance flushed in the old codec; speak the new one now
-                    conn.write_codec = switch
 
         writer_task = asyncio.ensure_future(writer())
         try:
             while True:
-                message = await self._race_drain(read_message())
-                if message is None:
+                line = await self._race_drain(read_line())
+                if line is None:
                     break
-                if isinstance(message, str) and not message.strip():
+                if not line.strip():
                     continue
-                responses.put_nowait(self._admit(message, conn))
+                responses.put_nowait(self._admit(line))
         finally:
             responses.put_nowait(None)
             await writer_task
@@ -997,18 +721,12 @@ class AsyncServeLoop:
         # blocked in readline() cannot hold up interpreter exit after drain
         threading.Thread(target=pump, daemon=True, name="repro-serve-stdin").start()
 
-        async def read_message() -> str | None:
-            return await lines.get()
-
         async def write_message(payload: dict[str, Any]) -> None:
             out_stream.write(json.dumps(payload) + "\n")
             out_stream.flush()
 
         try:
-            # text streams cannot carry binary frames: negotiation is
-            # refused (binary_capable=False) and the codec stays JSON
-            await self._conn_loop(read_message, write_message,
-                                  conn=_ConnState(binary_capable=False))
+            await self._conn_loop(lines.get, write_message)
         finally:
             await self._teardown()
         return self.stats
@@ -1035,36 +753,14 @@ class AsyncServeLoop:
                 conn_tasks.add(task)
                 task.add_done_callback(conn_tasks.discard)
 
-            conn = _ConnState(binary_capable=True)
-
-            async def read_message() -> Any:
-                if conn.read_codec == "binary":
-                    try:
-                        header = await reader.readexactly(4)
-                    except (asyncio.IncompleteReadError, ConnectionResetError,
-                            OSError):
-                        return None
-                    (length,) = _U32_STRUCT.unpack(header)
-                    if length > MAX_BINARY_FRAME_BYTES:
-                        # framing can't be trusted past a bogus length; the
-                        # only safe recovery is to hang up
-                        return None
-                    try:
-                        body = await reader.readexactly(length)
-                    except (asyncio.IncompleteReadError, ConnectionResetError,
-                            OSError):
-                        return None
-                    try:
-                        return (_FRAME, binary_envelope_decode(body))
-                    except ReproError as exc:
-                        return (_FRAME_ERROR, str(exc))
+            async def read_line() -> str | None:
                 raw = await reader.readline()
                 if not raw:
                     return None
                 return raw.decode("utf-8", errors="replace")
 
             async def write_message(payload: dict[str, Any]) -> None:
-                writer.write(encode_envelope(payload, conn.write_codec))
+                writer.write((json.dumps(payload) + "\n").encode("utf-8"))
                 await writer.drain()
 
             def abort() -> None:
@@ -1073,7 +769,7 @@ class AsyncServeLoop:
                     transport.abort()
 
             try:
-                await self._conn_loop(read_message, write_message, abort, conn)
+                await self._conn_loop(read_line, write_message, abort)
             finally:
                 with contextlib.suppress(Exception):
                     writer.close()

@@ -14,8 +14,8 @@ against those witnesses, treating the pair purely as data:
   :class:`VerificationReport` of structured :class:`Finding` objects;
 * :data:`~repro.verify.certificates.CHECKERS` -- the certificate-kind ->
   checker registry the capability metadata points into;
-* :mod:`repro.verify.structure` -- the Lemma 2-6 structure oracle (moved
-  here from ``repro.core.validation``, which remains as a deprecated shim).
+* :mod:`repro.verify.structure` -- the Lemma 2-6 structure oracle (also
+  re-exported lazily by :mod:`repro.core`).
 
 Entry points: :func:`repro.api.verify` (library), ``repro verify`` (CLI,
 consuming the JSON envelopes of ``repro solve`` / ``repro batch``),

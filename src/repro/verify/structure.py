@@ -17,8 +17,8 @@ keeps them usable as independent oracles against any algorithm's output.
 The ``optimal-structure`` certificate of :mod:`repro.verify.certificates`
 runs them on the schedule reconstructed from a solve result.
 
-(Moved here from ``repro.core.validation``, which remains as a deprecated
-shim; the blessed re-exports on :mod:`repro.core` are unchanged.)
+:mod:`repro.core` re-exports these names lazily
+(``from repro.core import check_optimal_structure``).
 """
 
 from __future__ import annotations

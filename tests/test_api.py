@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from repro.api import (
     list_solvers,
     solve,
 )
-from repro.batch import SOLVERS, solve_many
+from repro.batch import solve_many
 from repro.core import CUBE, Instance, PolynomialPower, TabulatedConvexPower
 from repro.exceptions import (
     InvalidInstanceError,
@@ -32,7 +31,6 @@ from repro.exceptions import (
     error_code,
 )
 from repro.io import request_from_dict, request_to_dict, result_from_dict, result_to_dict
-from repro.makespan import incmerge
 from repro.workloads import deadline_instance, equal_work_instance, figure1_instance
 
 
@@ -331,32 +329,6 @@ class TestRegistryMechanics:
             registry=registry,
         )
         assert result.ok and result.value == 6.0 and result.extras["tag"] == "demo"
-
-
-class TestDeprecatedSolversAlias:
-    def test_view_matches_registry_batchable_set(self):
-        assert list(SOLVERS) == list(REGISTRY.find(batchable=True))
-        assert len(SOLVERS) == len(REGISTRY.find(batchable=True))
-        assert "laptop" in SOLVERS and "frontier" not in SOLVERS
-
-    def test_membership_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert "laptop" in SOLVERS
-
-    def test_getitem_warns_and_matches_direct_solver(self):
-        with pytest.warns(DeprecationWarning, match="SOLVERS is deprecated"):
-            legacy = SOLVERS["laptop"]
-        value, energy, speeds = legacy(figure1_instance(), CUBE, 17.0)
-        direct = incmerge(figure1_instance(), CUBE, 17.0)
-        assert value == direct.makespan
-        assert energy == direct.energy
-        assert np.array_equal(speeds, direct.speeds)
-
-    def test_unknown_key_raises_keyerror(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(KeyError):
-                SOLVERS["nope"]
 
 
 class TestBatchRegistryEquivalence:

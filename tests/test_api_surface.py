@@ -93,14 +93,9 @@ IO_SURFACE = {
     "speed_levels_from_dict",
     "machine_model_to_dict",
     "machine_model_from_dict",
-    "ENVELOPE_CODECS",
-    "binary_envelope_encode",
-    "binary_envelope_decode",
-    "encode_envelope",
-    "decode_envelope",
 }
 
-BATCH_SURFACE = {"BatchResult", "SOLVERS", "solve_many", "solve_stream"}
+BATCH_SURFACE = {"BatchResult", "solve_many", "solve_stream"}
 
 CACHE_SURFACE = {
     "CacheStats",
@@ -123,8 +118,6 @@ CACHE_STORE_SURFACE = {
 
 SERVICE_SURFACE = {
     "ServeStats",
-    "handle_request_line",
-    "serve_stream",
     "AsyncServeLoop",
 }
 

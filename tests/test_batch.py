@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import repro.batch as batch_module
-from repro.batch import SOLVERS, solve_many, solve_stream
+from repro.batch import solve_many, solve_stream
 from repro.cache import ResultCache
 from repro.cli import main
 from repro.core import CUBE, Instance
@@ -226,59 +226,29 @@ class TestBatchCache:
         for a, b in zip(cold, warm):
             assert a.speeds.tobytes() == b.speeds.tobytes()
 
-
-class TestWireCodec:
-    """The write-behind envelope codec changes bytes on the wire, nothing else."""
-
-    def test_binary_wire_is_byte_identical_to_json(self, instances, tmp_path):
+    def test_pool_write_behind_matches_serial_bytes(self, instances, tmp_path):
+        # pool workers ship result envelopes back for the parent to cache:
+        # the stored entries are the serial run's bytes, and a warm pool run
+        # is all hits
         runs = {}
-        for codec in ("json", "binary"):
-            cache = ResultCache(directory=tmp_path / codec)
-            runs[codec] = (
-                solve_many(
-                    instances[:4], CUBE, 50.0, solver="laptop", workers=2,
-                    chunk_size=1, cache=cache, wire_codec=codec,
-                ),
-                cache,
+        for workers in (1, 2):
+            cache = ResultCache(directory=tmp_path / f"w{workers}")
+            runs[workers] = solve_many(
+                instances[:4], CUBE, 50.0, solver="laptop", workers=workers,
+                chunk_size=1, cache=cache,
             )
-        for a, b in zip(runs["json"][0], runs["binary"][0]):
-            assert a.index == b.index
-            assert a.value == b.value
+        for a, b in zip(runs[1], runs[2]):
+            assert a.index == b.index and a.value == b.value
             assert a.speeds.tobytes() == b.speeds.tobytes()
-        # the persisted cache entries are the same bytes too: the wire codec
-        # never leaks into the store format
-        json_files = sorted((tmp_path / "json").rglob("*.json"))
-        binary_files = sorted((tmp_path / "binary").rglob("*.json"))
-        assert [p.name for p in json_files] == [p.name for p in binary_files]
-        for a, b in zip(json_files, binary_files):
+        serial = sorted((tmp_path / "w1").rglob("*.json"))
+        pooled = sorted((tmp_path / "w2").rglob("*.json"))
+        assert [p.name for p in serial] == [p.name for p in pooled]
+        for a, b in zip(serial, pooled):
             assert a.read_bytes() == b.read_bytes()
-
-    def test_binary_wire_warm_hits_the_cache(self, instances):
-        cache = ResultCache()
-        solve_many(instances[:3], CUBE, 50.0, solver="laptop", workers=2,
-                   cache=cache, wire_codec="binary")
-        solve_many(instances[:3], CUBE, 50.0, solver="laptop", workers=2,
-                   cache=cache, wire_codec="binary")
-        stats = cache.stats()
-        assert stats.puts == 3 and stats.hits == 3
-
-    def test_unknown_wire_codec_rejected_eagerly(self, instances):
-        with pytest.raises(InvalidInstanceError, match="wire_codec"):
-            solve_many(instances[:1], CUBE, 50.0, wire_codec="msgpack")
-
-    def test_cli_flag_capture_matches_json(self, tmp_path, instances, capsys):
-        path = tmp_path / "batch.json"
-        save_instances(instances[:3], path)
-        argv = ["batch", "--instances", str(path), "--energy", "50", "--json",
-                "--workers", "2", "--cache-dir", str(tmp_path / "cache")]
-        assert main(argv) == 0
-        via_json = json.loads(capsys.readouterr().out)
-        assert main([*argv, "--wire-codec", "binary"]) == 0
-        via_binary = json.loads(capsys.readouterr().out)
-        assert (
-            json.dumps(via_binary["results"], sort_keys=True)
-            == json.dumps(via_json["results"], sort_keys=True)
-        )
+        warm = ResultCache(directory=tmp_path / "w2")
+        solve_many(instances[:4], CUBE, 50.0, solver="laptop", workers=2,
+                   chunk_size=1, cache=warm)
+        assert warm.stats().hits == 4
 
 
 class TestRunDir:

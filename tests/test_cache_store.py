@@ -10,10 +10,12 @@ disk-degradation latch.
 from __future__ import annotations
 
 import json
+import sqlite3
 import subprocess
 import sys
 import threading
 import warnings
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -443,23 +445,46 @@ class TestSqliteSharedTier:
         # the memory front still serves
         assert cache.get(request) is not None
 
-    def test_binary_row_codec_round_trips(self, tmp_path):
+    def test_rows_are_written_as_json(self, tmp_path):
         path = tmp_path / "cache.sqlite3"
         request = _request_for("yds")
         fresh = api_solve(request)
-        writer = ResultCache(store=SqliteStore(path, codec="binary"))
-        writer.put(request, fresh)
-        # a JSON-codec store on the same file reads the binary row (codec is
-        # recorded per row) and the payload is bit-identical
-        reader = ResultCache(store=SqliteStore(path, codec="json"),
-                             max_memory_entries=0)
-        hit = reader.get(request)
-        assert hit is not None
-        assert hit.speeds.tobytes() == fresh.speeds.tobytes()
+        cache = ResultCache(store=SqliteStore(path))
+        cache.put(request, fresh)
+        cache.store.close()
+        with closing(sqlite3.connect(str(path))) as conn:
+            rows = conn.execute("SELECT key, codec, envelope FROM entries").fetchall()
+        assert [(key, codec) for key, codec, _ in rows] == [
+            (cache.key_for(request), "json")
+        ]
+        assert json.loads(rows[0][2])["speeds"] == [float(s) for s in fresh.speeds]
 
-    def test_unknown_codec_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown envelope codec"):
-            SqliteStore(tmp_path / "x.sqlite3", codec="msgpack")
+    def test_binary_row_reads_as_corrupt_miss(self, tmp_path):
+        # a store written when rows could carry the binary envelope codec:
+        # it opens unchanged, JSON rows still hit, a binary row is a miss
+        # counted as corrupt (never a crash), and a fresh put replaces it
+        path = tmp_path / "cache.sqlite3"
+        request_j = _request_for("laptop")
+        request_b = _request_for("yds")
+        writer = ResultCache(store=SqliteStore(path))
+        writer.put(request_j, api_solve(request_j))
+        writer.store.close()
+        with closing(sqlite3.connect(str(path))) as conn:
+            conn.execute(
+                "INSERT INTO entries (key, solver, codec, envelope) VALUES (?, ?, ?, ?)",
+                (writer.key_for(request_b), "yds", "binary", b"RBE1\x07\x00\x00\x00\x00"),
+            )
+            conn.commit()
+        reader = ResultCache(store=SqliteStore(path), max_memory_entries=0)
+        assert reader.get(request_j) is not None
+        assert reader.get(request_b) is None
+        assert reader.stats().corrupt_entries == 1
+        reader.put(request_b, api_solve(request_b))
+        assert reader.get(request_b) is not None
+        reader.store.close()
+        with closing(sqlite3.connect(str(path))) as conn:
+            codecs = {codec for (codec,) in conn.execute("SELECT codec FROM entries")}
+        assert codecs == {"json"}
 
     def test_invalidate_spans_both_caches(self, tmp_path):
         store = SqliteStore(tmp_path / "cache.sqlite3")

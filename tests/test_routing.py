@@ -13,13 +13,14 @@ Covers the pieces the conformance suite exercises only end to end:
   the smallest-epsilon regression: with the accuracy knob tight enough that
   every job lands in the exhaustive phase, the PTAS must agree with the
   exact solver to machine precision;
-* the serve loops' ``routing`` modes: ``off`` dispatches verbatim, ``sla``
+* the serve loop's ``routing`` modes: ``off`` dispatches verbatim, ``sla``
   stamps ``routed_solver`` / ``epsilon`` / ``certificate`` into the serve
   metadata and counts reroutes.
 """
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 import importlib.util
 import io
@@ -36,7 +37,7 @@ from repro.exceptions import InvalidInstanceError
 from repro.io import request_to_dict
 from repro.multi.exact import exact_zero_release_makespan
 from repro.multi.ptas import ptas_zero_release_makespan
-from repro.service import ROUTING_MODES, AsyncServeLoop, ServeStats, handle_request_line, serve_stream
+from repro.service import ROUTING_MODES, AsyncServeLoop
 
 _FIT_SCRIPT = Path(__file__).parent.parent / "tools" / "fit_cost_models.py"
 
@@ -216,19 +217,23 @@ def _line(request: SolveRequest, request_id: str = "t1") -> str:
     return json.dumps({**request_to_dict(request), "id": request_id})
 
 
-def test_handle_request_line_rejects_unknown_routing_mode():
-    with pytest.raises(InvalidInstanceError):
-        handle_request_line("{}", routing="bogus")
+def _serve(lines: list[str], **kwargs):
+    """Responses and stats of one stdio serve run over ``lines``."""
+    out = io.StringIO()
+    loop = AsyncServeLoop(timing=False, **kwargs)
+    stats = asyncio.run(loop.run_stream(iter(line + "\n" for line in lines), out))
+    return [json.loads(line) for line in out.getvalue().splitlines()], stats
+
+
+def test_unknown_routing_mode_is_rejected():
     with pytest.raises(InvalidInstanceError):
         AsyncServeLoop(routing="bogus")
     assert ROUTING_MODES == ("off", "sla")
 
 
 def test_off_mode_never_routes_and_stamps_no_routing_metadata():
-    stats = ServeStats()
-    response = handle_request_line(
-        _line(_request(accuracy=0.5, latency_budget_ms=1e-9)),
-        timing=False, stats=stats, routing="off",
+    [response], stats = _serve(
+        [_line(_request(accuracy=0.5, latency_budget_ms=1e-9))], routing="off",
     )
     assert response["result"]["solver"] == "multi-makespan-exact"
     assert "routed_solver" not in response["serve"]
@@ -236,10 +241,8 @@ def test_off_mode_never_routes_and_stamps_no_routing_metadata():
 
 
 def test_sla_mode_routes_and_stamps_certificate_metadata():
-    stats = ServeStats()
-    response = handle_request_line(
-        _line(_request(accuracy=0.5, latency_budget_ms=1e-9)),
-        timing=False, stats=stats, routing="sla",
+    [response], stats = _serve(
+        [_line(_request(accuracy=0.5, latency_budget_ms=1e-9))], routing="sla",
     )
     assert response["result"]["solver"] == "multi-makespan-ptas"
     serve = response["serve"]
@@ -251,10 +254,7 @@ def test_sla_mode_routes_and_stamps_certificate_metadata():
 
 
 def test_sla_mode_leaves_accuracy_free_requests_alone():
-    stats = ServeStats()
-    response = handle_request_line(
-        _line(_request()), timing=False, stats=stats, routing="sla",
-    )
+    [response], stats = _serve([_line(_request())], routing="sla")
     assert response["result"]["solver"] == "multi-makespan-exact"
     assert "routed_solver" not in response["serve"]
     assert stats.routed == 0
@@ -263,24 +263,19 @@ def test_sla_mode_leaves_accuracy_free_requests_alone():
 def test_sla_mode_verifies_and_caches_under_the_routed_request():
     from repro.cache import ResultCache
 
-    cache = ResultCache()
-    stats = ServeStats()
     line = _line(_request(accuracy=0.5, latency_budget_ms=1e-9))
-    first = handle_request_line(
-        line, cache=cache, verify=True, timing=False, stats=stats, routing="sla",
+    [first, second], _ = _serve(
+        [line, line], cache=ResultCache(), verify=True, routing="sla",
     )
     assert first["serve"]["verified"] is True
     assert first["serve"]["cache"] == "miss"
-    second = handle_request_line(
-        line, cache=cache, verify=True, timing=False, stats=stats, routing="sla",
-    )
     assert second["serve"]["cache"] == "hit"
     # a cache hit is still a routed response: the metadata survives
     assert second["serve"]["routed_solver"] == "multi-makespan-ptas"
     assert second["result"] == first["result"]
 
 
-def test_serve_stream_matches_the_routed_golden():
+def test_run_stream_matches_the_routed_golden():
     golden = Path(__file__).parent / "golden" / "serve_routed_transcript.txt"
     instance = Instance.from_arrays(
         [0.0] * 10,
@@ -297,17 +292,13 @@ def test_serve_stream_matches_the_routed_golden():
     )))
     from repro.cache import ResultCache
 
+    loop = AsyncServeLoop(cache=ResultCache(), timing=False, routing="sla")
     out = io.StringIO()
-    serve_stream(
-        iter([routed + "\n", exact + "\n", "{not json\n"]),
-        out, cache=ResultCache(), timing=False, routing="sla",
-    )
+    asyncio.run(loop.run_stream(iter([routed + "\n", exact + "\n", "{not json\n"]), out))
     assert out.getvalue() == golden.read_text(encoding="utf-8")
 
 
 def test_async_loop_routes_under_queue_pressure():
-    import asyncio
-
     loop = AsyncServeLoop(cache=None, timing=False, routing="sla")
     lines = [
         _line(_request(accuracy=0.5, latency_budget_ms=1e-9), f"q{i}") + "\n"
@@ -347,8 +338,6 @@ def test_truncated_compete_sweep_declares_its_stride():
 
 
 def test_async_loop_snapshot_hides_routed_in_off_mode():
-    import asyncio
-
     loop = AsyncServeLoop(cache=None, timing=False, routing="off")
     out = io.StringIO()
     asyncio.run(loop.run_stream(iter([_line(_request()) + "\n"]), out))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import io
 import json
 import socket
@@ -15,7 +16,7 @@ from repro.cache import ResultCache
 from repro.cli import main
 from repro.core import CUBE
 from repro.io import request_to_dict, result_to_dict
-from repro.service import AsyncServeLoop, ServeStats, serve_stream
+from repro.service import AsyncServeLoop, ServeStats
 from repro.workloads import figure1_instance
 
 
@@ -32,7 +33,7 @@ def _request_line(request_id=None, budget=17.0) -> str:
 
 def _serve(lines, **kwargs):
     out = io.StringIO()
-    stats = serve_stream(iter(lines), out, **kwargs)
+    stats = asyncio.run(AsyncServeLoop(**kwargs).run_stream(iter(lines), out))
     return [json.loads(line) for line in out.getvalue().splitlines()], stats
 
 

@@ -1,8 +1,9 @@
 """Tests for the hardened async serving tier (:class:`repro.service.AsyncServeLoop`).
 
-Covers the robustness semantics the sync reference loop does not have:
-deadlines, load shedding, graceful drain, control requests, fault injection
-and concurrent TCP clients sharing one cache.
+Covers the robustness semantics on top of the request/response protocol
+(``tests/test_service.py``): deadlines, load shedding, graceful drain,
+control requests, fault injection and concurrent TCP clients sharing one
+cache.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import asyncio
 import io
 import json
 import socket
-import struct
 import threading
 
 import pytest
@@ -28,13 +28,8 @@ from repro.faults import (
     FaultPlan,
     FaultRule,
 )
-from repro.io import (
-    binary_envelope_decode,
-    encode_envelope,
-    request_to_dict,
-    serve_response_from_dict,
-)
-from repro.service import MAX_BINARY_FRAME_BYTES, AsyncServeLoop
+from repro.io import request_to_dict, serve_response_from_dict
+from repro.service import AsyncServeLoop
 from repro.workloads import figure1_instance, poisson_instance
 
 
@@ -259,171 +254,6 @@ class TestFaultsInTheLoop:
             survivor.close()
         finally:
             loop.stop()
-
-
-class _BinaryClient:
-    """A TCP client that negotiates the binary codec, then speaks frames."""
-
-    def __init__(self, address):
-        self._sock = socket.create_connection(address, timeout=10)
-
-    def _recv_exact(self, count: int) -> bytes:
-        buf = b""
-        while len(buf) < count:
-            chunk = self._sock.recv(count - len(buf))
-            if not chunk:
-                raise ConnectionResetError("server closed the connection")
-            buf += chunk
-        return buf
-
-    def negotiate(self, codec: str = "binary") -> dict:
-        self._sock.sendall(
-            (json.dumps({"op": "codec", "codec": codec, "id": "neg"}) + "\n").encode(
-                "utf-8"
-            )
-        )
-        line = b""
-        while not line.endswith(b"\n"):
-            chunk = self._sock.recv(1)
-            if not chunk:
-                raise ConnectionResetError("server closed the connection")
-            line += chunk
-        return json.loads(line)
-
-    def send_frame(self, payload: dict) -> None:
-        self._sock.sendall(encode_envelope(payload, "binary"))
-
-    def send_raw(self, data: bytes) -> None:
-        self._sock.sendall(data)
-
-    def recv_frame(self) -> dict:
-        (length,) = struct.unpack("<I", self._recv_exact(4))
-        return binary_envelope_decode(self._recv_exact(length))
-
-    def rpc(self, payload: dict) -> dict:
-        self.send_frame(payload)
-        return self.recv_frame()
-
-    def close(self) -> None:
-        self._sock.close()
-
-
-class TestCodecNegotiation:
-    def _request_payload(self, request_id=None, seed=None):
-        return json.loads(_request_line(request_id=request_id, seed=seed))
-
-    def test_stdio_refuses_binary(self):
-        responses, _, _ = _run_stream(
-            [json.dumps({"op": "codec", "codec": "binary", "id": "c"}) + "\n",
-             _request_line()]
-        )
-        ack = responses[0]
-        assert ack["kind"] == "serve-control" and ack["op"] == "codec"
-        assert ack["accepted"] is False
-        assert "text-only" in ack["error"]["message"]
-        # the connection survives the refusal and keeps speaking JSON
-        assert responses[1]["result"]["status"] == "ok"
-
-    def test_stdio_accepts_explicit_json(self):
-        responses, _, _ = _run_stream(
-            [json.dumps({"op": "codec", "codec": "json"}) + "\n", _request_line()]
-        )
-        assert responses[0]["accepted"] is True and responses[0]["codec"] == "json"
-        assert responses[1]["result"]["status"] == "ok"
-
-    def test_unknown_codec_rejected(self):
-        responses, _, _ = _run_stream(
-            [json.dumps({"op": "codec", "codec": "msgpack"}) + "\n"]
-        )
-        assert responses[0]["accepted"] is False
-        assert "msgpack" in responses[0]["error"]["message"]
-
-    def test_tcp_binary_round_trip_matches_json(self):
-        loop = AsyncServeLoop(cache=ResultCache())
-        address = loop.start_in_thread()
-        try:
-            json_client = _Client(address)
-            via_json = json_client.rpc(_request_line(request_id="j"))
-            json_client.close()
-
-            client = _BinaryClient(address)
-            ack = client.negotiate()
-            assert ack["accepted"] is True and ack["codec"] == "binary"
-            via_binary = client.rpc(self._request_payload(request_id="b"))
-            client.close()
-        finally:
-            loop.stop()
-        assert via_binary["result"]["status"] == "ok"
-        assert via_binary["serve"]["cache"] == "hit"  # same key as the JSON solve
-        # identical payload either way, down to every float in the result
-        for response in (via_json, via_binary):
-            response["serve"].pop("latency_ms", None)
-            response["serve"].pop("cache")  # miss vs hit, asserted above
-            response.pop("id")
-        assert via_binary == via_json
-
-    def test_tcp_binary_pipelined_requests_keep_order(self):
-        loop = AsyncServeLoop(cache=ResultCache())
-        address = loop.start_in_thread()
-        try:
-            client = _BinaryClient(address)
-            assert client.negotiate()["accepted"] is True
-            for index in range(4):
-                client.send_frame(self._request_payload(request_id=f"p{index}",
-                                                        seed=index))
-            ids = [client.recv_frame()["id"] for index in range(4)]
-            client.close()
-        finally:
-            loop.stop()
-        assert ids == [f"p{index}" for index in range(4)]
-
-    def test_tcp_bad_binary_frame_is_structured_error(self):
-        loop = AsyncServeLoop()
-        address = loop.start_in_thread()
-        try:
-            client = _BinaryClient(address)
-            assert client.negotiate()["accepted"] is True
-            client.send_raw(struct.pack("<I", 5) + b"JUNK!")
-            response = client.recv_frame()
-            assert response["result"]["error"]["code"] == "invalid-instance"
-            assert "frame" in response["result"]["error"]["message"]
-            # the connection recovers: a well-formed frame still answers
-            ok = client.rpc(self._request_payload(request_id="after"))
-            assert ok["result"]["status"] == "ok"
-            client.close()
-        finally:
-            loop.stop()
-
-    def test_tcp_oversized_frame_drops_the_connection(self):
-        loop = AsyncServeLoop()
-        address = loop.start_in_thread()
-        try:
-            client = _BinaryClient(address)
-            assert client.negotiate()["accepted"] is True
-            client.send_raw(struct.pack("<I", MAX_BINARY_FRAME_BYTES + 1))
-            with pytest.raises((ConnectionResetError, ConnectionError, OSError)):
-                client.recv_frame()
-            client.close()
-            # the server itself is unharmed
-            survivor = _Client(address)
-            assert survivor.rpc(_request_line())["result"]["status"] == "ok"
-            survivor.close()
-        finally:
-            loop.stop()
-
-    def test_control_ops_work_over_binary(self):
-        loop = AsyncServeLoop(cache=ResultCache())
-        address = loop.start_in_thread()
-        try:
-            client = _BinaryClient(address)
-            assert client.negotiate()["accepted"] is True
-            pong = client.rpc({"op": "ping", "id": 7})
-            snap = client.rpc({"op": "stats"})
-            client.close()
-        finally:
-            loop.stop()
-        assert pong == {"kind": "serve-control", "id": 7, "op": "ping", "ok": True}
-        assert snap["op"] == "stats" and snap["stats"]["requests"] == 0
 
 
 class TestConcurrentTcpClients:

@@ -77,24 +77,8 @@ class TestStructureChecks:
         assert not report.single_speed_per_job
 
 
-class TestValidationShim:
-    """``repro.core.validation`` is a deprecated forward to repro.verify.structure."""
-
-    def test_shim_warns_and_forwards(self):
-        import repro.core.validation as legacy
-        import repro.verify.structure as new_home
-
-        for name in ("StructureReport", "check_optimal_structure",
-                     "assert_optimal_structure"):
-            with pytest.warns(DeprecationWarning, match="repro.verify.structure"):
-                forwarded = getattr(legacy, name)
-            assert forwarded is getattr(new_home, name)
-
-    def test_shim_rejects_unknown_attributes(self):
-        import repro.core.validation as legacy
-
-        with pytest.raises(AttributeError):
-            legacy.does_not_exist
+class TestCoreStructureReexports:
+    """``repro.core`` re-exports the structure oracle of repro.verify.structure."""
 
     def test_blessed_core_reexport_does_not_warn(self):
         import repro.core

@@ -61,33 +61,6 @@ def _default_request_lines(n: int, distinct: int, seed: int) -> list[str]:
     return lines
 
 
-async def _binary_exchange(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    payload: str,
-    timeout_s: float,
-) -> dict[str, Any] | None:
-    """Negotiate the binary codec and run one framed request; None on EOF."""
-    import struct
-
-    from repro.io import binary_envelope_decode, encode_envelope
-
-    writer.write((json.dumps({"op": "codec", "codec": "binary"}) + "\n").encode("utf-8"))
-    await writer.drain()
-    ack_raw = await asyncio.wait_for(reader.readline(), timeout_s)
-    if not ack_raw:
-        return None
-    ack = json.loads(ack_raw)
-    if not ack.get("accepted"):
-        raise RuntimeError(f"server refused binary codec: {ack.get('error')}")
-    writer.write(encode_envelope(json.loads(payload), "binary"))
-    await writer.drain()
-    header = await asyncio.wait_for(reader.readexactly(4), timeout_s)
-    (length,) = struct.unpack("<I", header)
-    body = await asyncio.wait_for(reader.readexactly(length), timeout_s)
-    return binary_envelope_decode(body)
-
-
 async def _one_request(
     host: str,
     port: int,
@@ -97,7 +70,6 @@ async def _one_request(
     rng: random.Random,
     max_retries: int,
     timeout_s: float,
-    codec: str = "json",
 ) -> dict[str, Any]:
     """Send one request (with shed retries); returns a per-request record."""
     outcome: dict[str, Any] = {"status": "ok", "code": None, "retries": 0}
@@ -110,29 +82,17 @@ async def _one_request(
     for attempt in range(max_retries + 1):
         try:
             reader, writer = await asyncio.open_connection(host, port)
-            if codec == "binary":
-                response = await _binary_exchange(reader, writer, payload, timeout_s)
-                writer.close()
-                if response is None:
-                    outcome.update(status="connection-drop", code="connection-drop")
-                    break
-                raw = True  # sentinel: a framed response was read
-            else:
-                writer.write((payload + "\n").encode("utf-8"))
-                await writer.drain()
-                raw = await asyncio.wait_for(reader.readline(), timeout_s)
-                writer.close()
+            writer.write((payload + "\n").encode("utf-8"))
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.readline(), timeout_s)
+            writer.close()
         except (OSError, asyncio.TimeoutError) as exc:
             outcome.update(status="transport-error", code=repr(exc))
-            break
-        except (RuntimeError, ValueError) as exc:
-            outcome.update(status="codec-error", code=repr(exc))
             break
         if not raw:
             outcome.update(status="connection-drop", code="connection-drop")
             break
-        if codec != "binary":
-            response = json.loads(raw)
+        response = json.loads(raw)
         error = (response.get("result") or {}).get("error")
         if error is None:
             outcome.update(status="ok", code=None)
@@ -163,7 +123,6 @@ async def _run(
     seed: int,
     max_retries: int,
     timeout_s: float,
-    codec: str = "json",
 ) -> dict[str, Any]:
     start = time.monotonic()
     tasks = []
@@ -177,7 +136,7 @@ async def _run(
             asyncio.ensure_future(
                 _one_request(
                     host, port, line, scheduled_at, deadline_ms, rng,
-                    max_retries, timeout_s, codec,
+                    max_retries, timeout_s,
                 )
             )
         )
@@ -198,7 +157,6 @@ async def _run(
 
     return {
         "kind": "loadgen-report",
-        "codec": codec,
         "target_qps": qps,
         "requests": len(records),
         "ok": sum(1 for r in records if r["status"] == "ok"),
@@ -227,18 +185,12 @@ def run_loadgen(
     max_retries: int = DEFAULT_MAX_RETRIES,
     timeout_s: float = 30.0,
     lines: Sequence[str] | None = None,
-    codec: str = "json",
 ) -> dict[str, Any]:
-    """Drive an open-loop run against a serving TCP address; returns the report.
-
-    ``codec="binary"`` negotiates the binary envelope codec on every
-    connection before sending the request as a length-prefixed frame.
-    """
+    """Drive an open-loop run against a serving TCP address; returns the report."""
     if lines is None:
         lines = _default_request_lines(n, distinct, seed)
     return asyncio.run(
-        _run(host, port, lines, qps, deadline_ms, seed, max_retries, timeout_s,
-             codec)
+        _run(host, port, lines, qps, deadline_ms, seed, max_retries, timeout_s)
     )
 
 
@@ -253,8 +205,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--distinct", type=int, default=4,
                         help="distinct instances to cycle over (cache-hit mix)")
     parser.add_argument("--max-retries", type=int, default=DEFAULT_MAX_RETRIES)
-    parser.add_argument("--codec", choices=("json", "binary"), default="json",
-                        help="wire codec to negotiate per connection")
     parser.add_argument("--report", metavar="FILE",
                         help="also write the JSON report here")
     args = parser.parse_args(argv)
@@ -262,7 +212,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     report = run_loadgen(
         args.host, args.port, n=args.requests, qps=args.qps,
         deadline_ms=args.deadline_ms, seed=args.seed, distinct=args.distinct,
-        max_retries=args.max_retries, codec=args.codec,
+        max_retries=args.max_retries,
     )
     text = json.dumps(report, indent=2)
     print(text)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""CI smoke test for ``repro serve``: cache hits and the binary wire codec.
+"""CI smoke test for ``repro serve``: cache hits over stdio and over TCP.
 
 Stage 1 pipes two identical solve-request envelopes through a real ``repro
 serve`` subprocess (stdin/stdout transport, default in-memory cache) and
@@ -9,11 +9,16 @@ asserts:
 * the first response reports a cache miss, the second a cache hit,
 * both carry latency metadata and byte-identical result envelopes.
 
-Stage 2 starts a second serve subprocess on an ephemeral TCP port, solves
-the same request once over JSON, then negotiates the binary envelope codec
-on a fresh connection and asserts the framed binary response is a cache hit
-carrying the identical result envelope — the full negotiate/encode/decode
-path through a real process boundary.
+Stage 2 starts a second serve subprocess in the server configuration of
+the benchmark's serve-mix workload (``--tcp 127.0.0.1:0 --verify
+--cache-backend sqlite --cache-dir <tmp>``), sends the same request twice
+on one connection and asserts:
+
+* a cache miss, then a cache hit, both solved OK and ``verified: true``,
+  with identical result envelopes,
+* the counters of a ``{"op": "stats"}`` request equal the client's own
+  tallies of those two responses,
+* SIGTERM drains the server: exit 0, a final stats line, no traceback.
 
 Run as ``python tools/serve_smoke.py`` (the repo's ``src/`` is put on the
 subprocess's PYTHONPATH automatically); exits non-zero with a diagnostic on
@@ -24,10 +29,11 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import socket
-import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -62,83 +68,67 @@ def _serve_env() -> dict[str, str]:
     return env
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    buf = b""
-    while len(buf) < count:
-        chunk = sock.recv(count - len(buf))
-        if not chunk:
-            raise ConnectionResetError("server closed the connection")
-        buf += chunk
-    return buf
-
-
-def _recv_line(sock: socket.socket) -> bytes:
-    line = b""
-    while not line.endswith(b"\n"):
-        line += _recv_exact(sock, 1)
-    return line
-
-
-def _binary_smoke(line: str) -> int:
-    """Stage 2: negotiate the binary codec against a real TCP serve process."""
-    from repro.io import binary_envelope_decode, encode_envelope
-
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve", "--tcp", "127.0.0.1:0"],
-        stdin=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=_serve_env(),
-    )
-    try:
-        announce = proc.stderr.readline().decode("utf-8").strip()
-        prefix = "serve: listening on "
-        if not announce.startswith(prefix):
-            return _fail(f"unexpected serve announcement: {announce!r}")
-        host, _, port_text = announce[len(prefix):].rpartition(":")
-        address = (host, int(port_text))
-
-        # one JSON solve to warm the server's cache
-        with socket.create_connection(address, timeout=30) as sock:
-            sock.sendall((line + "\n").encode("utf-8"))
-            via_json = json.loads(_recv_line(sock))
-        if via_json["result"].get("status") != "ok":
-            return _fail(f"JSON warm-up did not solve OK: {via_json['result']}")
-
-        # fresh connection: negotiate binary, then one framed request
-        with socket.create_connection(address, timeout=30) as sock:
-            sock.sendall(
-                (json.dumps({"op": "codec", "codec": "binary"}) + "\n").encode("utf-8")
-            )
-            ack = json.loads(_recv_line(sock))
-            if ack.get("accepted") is not True:
-                return _fail(f"server refused the binary codec: {ack}")
-            sock.sendall(encode_envelope(json.loads(line), "binary"))
-            (length,) = struct.unpack("<I", _recv_exact(sock, 4))
-            via_binary = binary_envelope_decode(_recv_exact(sock, length))
-            # graceful shutdown: drain works over the binary codec too
-            sock.sendall(encode_envelope({"op": "drain"}, "binary"))
-            (length,) = struct.unpack("<I", _recv_exact(sock, 4))
-            _recv_exact(sock, length)
-        proc.stdin.close()
-        if proc.wait(timeout=60) != 0:
-            return _fail(f"serve exited {proc.returncode} after drain")
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=60)
-
-    if via_binary["result"].get("status") != "ok":
-        return _fail(f"binary request did not solve OK: {via_binary['result']}")
-    if via_binary["serve"]["cache"] != "hit":
-        return _fail(
-            f"binary request should hit the JSON-warmed cache, "
-            f"got {via_binary['serve']['cache']!r}"
+def _tcp_smoke(line: str) -> int:
+    """Stage 2: the serve-mix server configuration over TCP, then SIGTERM."""
+    with tempfile.TemporaryDirectory(prefix="serve-smoke-") as cache_dir:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--tcp", "127.0.0.1:0",
+             "--verify", "--cache-backend", "sqlite", "--cache-dir", cache_dir],
+            stdin=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_serve_env(),
         )
-    if via_binary["result"] != via_json["result"]:
-        return _fail("binary and JSON codecs returned different result envelopes")
+        try:
+            announce = proc.stderr.readline().strip()
+            prefix = "serve: listening on "
+            if not announce.startswith(prefix):
+                return _fail(f"unexpected serve announcement: {announce!r}")
+            host, _, port_text = announce[len(prefix):].rpartition(":")
+            with socket.create_connection((host, int(port_text)), timeout=30) as sock, \
+                    sock.makefile("rw", encoding="utf-8") as stream:
+                responses = []
+                for _ in range(2):
+                    stream.write(line + "\n")
+                    stream.flush()
+                    responses.append(json.loads(stream.readline()))
+                stream.write(json.dumps({"op": "stats"}) + "\n")
+                stream.flush()
+                snapshot = json.loads(stream.readline())["stats"]
+            proc.send_signal(signal.SIGTERM)
+            _, stderr_rest = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=60)
+
+    for i, response in enumerate(responses):
+        if response["result"].get("status") != "ok":
+            return _fail(f"TCP response {i} did not solve OK: {response['result']}")
+        if response["serve"].get("verified") is not True:
+            return _fail(f"TCP response {i} was not verified: {response['serve']}")
+    states = [response["serve"]["cache"] for response in responses]
+    if states != ["miss", "hit"]:
+        return _fail(f"expected TCP cache states ['miss', 'hit'], got {states}")
+    if responses[0]["result"] != responses[1]["result"]:
+        return _fail("sqlite cache hit returned a different result envelope")
+    tallies = {
+        "requests": len(responses),
+        "ok": sum(r["result"]["status"] == "ok" for r in responses),
+        "errors": sum(r["result"]["status"] != "ok" for r in responses),
+        "cache_hits": states.count("hit"),
+        "verify_failures": sum(r["serve"].get("verified") is False for r in responses),
+    }
+    served = {key: snapshot.get(key) for key in tallies}
+    if served != tallies:
+        return _fail(f"stats op counters {served} differ from client tallies {tallies}")
+    if proc.returncode != 0:
+        return _fail(f"serve exited {proc.returncode} after SIGTERM:\n{stderr_rest}")
+    if "serve: 2 request(s)" not in stderr_rest or "Traceback" in stderr_rest:
+        return _fail(f"unexpected shutdown output after SIGTERM:\n{stderr_rest}")
     print(
-        "serve smoke OK: binary codec negotiated over TCP, framed response "
-        "hit the JSON-warmed cache with an identical envelope"
+        "serve smoke OK: TCP with --verify on a sqlite cache answered a verified "
+        "miss then hit, stats matched the client, SIGTERM drained with exit 0"
     )
     return 0
 
@@ -176,7 +166,7 @@ def main() -> int:
         f"(latencies {responses[0]['serve']['latency_ms']}ms -> "
         f"{responses[1]['serve']['latency_ms']}ms)"
     )
-    return _binary_smoke(line)
+    return _tcp_smoke(line)
 
 
 if __name__ == "__main__":
