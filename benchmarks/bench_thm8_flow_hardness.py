@@ -7,12 +7,12 @@ Paper artefacts reproduced here:
   system and verify it annihilates the paper's polynomial),
 * the rational-root check (the hardness argument needs the root to be
   irrational; the Galois-group step itself is cited from the paper, see
-  DESIGN.md),
+  README's "Deviations from the paper"),
 * the energy window over which the tight configuration ``C_2 = 1`` is
   optimal.  The paper states approximately ``(8.43, 11.54)``; our three
   independent solvers (grid search, convex program, closed-form refinement)
-  agree with the upper end and place the lower end near ``10.3`` -- this
-  discrepancy is recorded in EXPERIMENTS.md.
+  agree with the upper end and place the lower end near ``10.3`` -- README's
+  "Deviations from the paper" records this discrepancy.
 
 The benchmark times the full pipeline (optimality system + flow sweep).
 """

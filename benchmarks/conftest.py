@@ -3,8 +3,9 @@
 Every benchmark regenerates one of the paper's evaluation artefacts (a figure
 series or a quantitative claim) and writes the regenerated rows to a text
 file under ``benchmarks/results/`` so they can be compared with the paper
-(see EXPERIMENTS.md).  The ``benchmark`` fixture from pytest-benchmark times
-the computational core of each experiment.
+(README's "Deviations from the paper" lists where they differ).  The
+``benchmark`` fixture from pytest-benchmark times the computational core of
+each experiment.
 """
 
 from __future__ import annotations

@@ -82,8 +82,9 @@ def main() -> None:
     print("  i.e. no formula built from +, -, *, / and k-th roots can output it exactly.")
     best = equal_work_flow_laptop(hard, power, 9.0)
     print(f"  our solver's optimum at E = 9: flow = {best.flow:.6f} "
-          f"(completion of job 2 = {best.completion_times[1]:.4f}; see EXPERIMENTS.md "
-          "for the discrepancy with the paper's stated window)")
+          f"(completion of job 2 = {best.completion_times[1]:.4f}; README's "
+          "\"Deviations from the paper\" records the discrepancy with the "
+          "paper's stated window)")
 
 
 if __name__ == "__main__":

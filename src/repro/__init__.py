@@ -1,6 +1,6 @@
 """repro -- reproduction of Bunde, "Power-aware scheduling for makespan and flow" (SPAA 2006).
 
-Subpackage map (see README.md and DESIGN.md for the full tour):
+Subpackage map (see README.md for the full tour):
 
 * :mod:`repro.core` -- jobs, power functions, schedules, blocks, metrics,
   trade-off curves.

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
+import time
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -61,20 +62,40 @@ class SqliteStore(CacheStore):
             return conn
         if self._closed:
             raise sqlite3.ProgrammingError("store is closed")
-        conn = sqlite3.connect(str(self.path), timeout=self.busy_timeout)
-        try:
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute(f"PRAGMA busy_timeout={int(self.busy_timeout * 1000)}")
-            conn.execute(_SCHEMA)
-            conn.commit()
-        except sqlite3.Error:
-            conn.close()
-            raise
+        conn = self._open()
         self._local.conn = conn
         with self._conns_lock:
             self._conns.append(conn)
         return conn
+
+    def _open(self) -> sqlite3.Connection:
+        """A connection in WAL mode with the schema in place.
+
+        Several connections first opening a fresh database at once can see
+        ``database is locked`` from the journal-mode switch or the schema
+        creation straight away, without SQLite waiting out ``busy_timeout``,
+        so the set-up is retried on ``locked`` until that timeout runs out.
+        """
+        give_up = time.monotonic() + self.busy_timeout
+        pause = 0.001
+        while True:
+            conn = sqlite3.connect(str(self.path), timeout=self.busy_timeout)
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                conn.execute("PRAGMA synchronous=NORMAL")
+                conn.execute(f"PRAGMA busy_timeout={int(self.busy_timeout * 1000)}")
+                conn.execute(_SCHEMA)
+                conn.commit()
+                return conn
+            except sqlite3.OperationalError as exc:
+                conn.close()
+                if "locked" not in str(exc) or time.monotonic() >= give_up:
+                    raise
+            except sqlite3.Error:
+                conn.close()
+                raise
+            time.sleep(pause)
+            pause = min(2 * pause, 0.05)
 
     # ------------------------------------------------------------------
     # CacheStore contract

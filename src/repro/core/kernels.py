@@ -71,7 +71,6 @@ __all__ = [
     "power_eval_batched",
     "energy_eval_batched",
     "chain_start_times_batched",
-    "interval_work_grid_batched",
     "max_density_interval_batched",
     "stepwise_rate_profile_batched",
     "common_release_prefix_speeds_batched",
@@ -528,7 +527,7 @@ class BatchWorkspace:
 def _sorted_dup_grid(
     releases: np.ndarray, deadlines: np.ndarray, works: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shared scatter for the batched grid kernels.
+    """The cell scatter of :func:`max_density_interval_batched`.
 
     Returns ``(r_sorted, d_sorted, flat_idx, minlength)``: the dup-keeping
     sorted axes plus the flat scatter index of every job into the
@@ -549,41 +548,6 @@ def _sorted_dup_grid(
     idx_dd = np.where(dead, 0, idx_d)
     flat_idx = ((bidx * (n + 1) + idx_rr) * n + idx_dd).ravel()
     return r_sorted, d_sorted, flat_idx, batch * (n + 1) * n
-
-
-def interval_work_grid_batched(
-    releases: np.ndarray,
-    deadlines: np.ndarray,
-    works: np.ndarray,
-    mask: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise :func:`interval_work_grid` on duplicate-keeping axes.
-
-    Returns ``(r_sorted, d_sorted, member_work)`` with ``r_sorted``/``d_sorted``
-    the *sorted-with-duplicates* ``(batch, n)`` axes and ``member_work`` of
-    shape ``(batch, n + 1, n)``: ``member_work[b, a, j]`` is the total work of
-    row ``b``'s jobs with ``release >= r_sorted[b, a]`` and
-    ``deadline <= d_sorted[b, j]`` (row ``n`` is the all-zero empty-suffix
-    row, mirroring the per-instance extra row).  Reads at *any* duplicate
-    index equal the unique-grid entry bitwise, so searchsorted consumers
-    (the BKP profile) work unchanged on the dup axes.
-    """
-    releases = np.asarray(releases, dtype=float)
-    deadlines = np.asarray(deadlines, dtype=float)
-    works = np.asarray(works, dtype=float)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        releases = np.where(mask, releases, np.inf)
-        deadlines = np.where(mask, deadlines, np.inf)
-        works = np.where(mask, works, 0.0)
-    batch, n = releases.shape
-    r_sorted, d_sorted, flat_idx, cells = _sorted_dup_grid(releases, deadlines, works)
-    cell = np.bincount(flat_idx, weights=works.ravel(), minlength=cells).reshape(
-        batch, n + 1, n
-    )
-    np.cumsum(cell, axis=1, out=cell)
-    member = np.cumsum(cell[:, ::-1, :], axis=2)
-    return r_sorted, d_sorted, member
 
 
 def max_density_interval_batched(

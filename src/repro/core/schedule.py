@@ -104,14 +104,22 @@ class Schedule:
         pieces: Iterable[Piece],
         n_processors: int | None = None,
     ) -> None:
+        ordered = tuple(sorted(pieces, key=lambda p: (p.processor, p.start, p.job)))
+        if not ordered:
+            raise InvalidScheduleError("a schedule must contain at least one piece")
+        self._setup(instance, power, max(p.processor for p in ordered), n_processors)
+        self._pieces: tuple[Piece, ...] | None = ordered
+        self._columns: tuple[np.ndarray, ...] | None = None
+
+    def _setup(
+        self,
+        instance: Instance,
+        power: PowerFunction,
+        max_proc: int,
+        n_processors: int | None,
+    ) -> None:
         self.instance = instance
         self.power = power
-        self.pieces: tuple[Piece, ...] = tuple(
-            sorted(pieces, key=lambda p: (p.processor, p.start, p.job))
-        )
-        if not self.pieces:
-            raise InvalidScheduleError("a schedule must contain at least one piece")
-        max_proc = max(p.processor for p in self.pieces)
         if n_processors is None:
             n_processors = max_proc + 1
         if n_processors <= max_proc:
@@ -121,33 +129,98 @@ class Schedule:
         self.n_processors = int(n_processors)
         self._completion_cache: np.ndarray | None = None
         self._start_cache: np.ndarray | None = None
-        self._piece_arrays_cache: tuple[np.ndarray, ...] | None = None
 
-    def _piece_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    @property
+    def pieces(self) -> tuple[Piece, ...]:
+        """All pieces, sorted by ``(processor, start, job)``.
+
+        A schedule built by :meth:`from_columns` materialises them on first
+        access; every metric below reads :attr:`columns` instead.
+        """
+        if self._pieces is None:
+            self._pieces = tuple(
+                Piece(job=j, processor=p, start=a, end=b, speed=s)
+                for j, p, a, b, s in zip(*(column.tolist() for column in self.columns))
+            )
+        return self._pieces
+
+    @property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Columnar view of the pieces: (jobs, processors, starts, ends, speeds).
 
-        Built once and cached; every aggregate metric below is a single array
-        expression over these columns instead of a Python loop over pieces.
+        In :attr:`pieces` order.  Built once and cached; every aggregate
+        metric below is a single array expression over these columns instead
+        of a Python loop over pieces.
         """
-        if self._piece_arrays_cache is None:
-            count = len(self.pieces)
-            jobs = np.fromiter((p.job for p in self.pieces), dtype=np.intp, count=count)
-            procs = np.fromiter((p.processor for p in self.pieces), dtype=np.intp, count=count)
-            starts = np.fromiter((p.start for p in self.pieces), dtype=float, count=count)
-            ends = np.fromiter((p.end for p in self.pieces), dtype=float, count=count)
-            speeds = np.fromiter((p.speed for p in self.pieces), dtype=float, count=count)
-            if jobs.max() >= self.instance.n_jobs:
-                bad = int(jobs.max())
-                raise InvalidScheduleError(
-                    f"piece references job {bad} but the instance has only "
-                    f"{self.instance.n_jobs} jobs"
-                )
-            self._piece_arrays_cache = (jobs, procs, starts, ends, speeds)
-        return self._piece_arrays_cache
+        if self._columns is None:
+            pieces = self.pieces
+            count = len(pieces)
+            jobs = np.fromiter((p.job for p in pieces), dtype=np.intp, count=count)
+            procs = np.fromiter((p.processor for p in pieces), dtype=np.intp, count=count)
+            starts = np.fromiter((p.start for p in pieces), dtype=float, count=count)
+            ends = np.fromiter((p.end for p in pieces), dtype=float, count=count)
+            speeds = np.fromiter((p.speed for p in pieces), dtype=float, count=count)
+            self._check_job_range(jobs)
+            self._columns = (jobs, procs, starts, ends, speeds)
+        return self._columns
+
+    def _check_job_range(self, jobs: np.ndarray) -> None:
+        if jobs.max() >= self.instance.n_jobs:
+            raise InvalidScheduleError(
+                f"piece references job {int(jobs.max())} but the instance has only "
+                f"{self.instance.n_jobs} jobs"
+            )
 
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
+    @classmethod
+    def from_columns(
+        cls,
+        instance: Instance,
+        power: PowerFunction,
+        jobs: Sequence[int] | np.ndarray,
+        starts: Sequence[float] | np.ndarray,
+        ends: Sequence[float] | np.ndarray,
+        speeds: Sequence[float] | np.ndarray,
+    ) -> "Schedule":
+        """Build a one-processor schedule from piece columns, building no :class:`Piece`.
+
+        Row ``k`` is the piece ``(jobs[k], 0, starts[k], ends[k], speeds[k])``.
+        The :class:`Piece` rules are checked over whole columns and the first
+        offending row raises that rule's error.  The result equals the
+        schedule built from the same rows as ``Piece`` objects bit for bit;
+        :attr:`pieces` is materialised only if something asks for it.
+        """
+        jobs = np.asarray(jobs, dtype=np.intp)
+        starts = np.asarray(starts, dtype=float)
+        ends = np.asarray(ends, dtype=float)
+        speeds = np.asarray(speeds, dtype=float)
+        if not len(jobs) == len(starts) == len(ends) == len(speeds):
+            raise InvalidScheduleError("piece columns must all have the same length")
+        if not len(jobs):
+            raise InvalidScheduleError("a schedule must contain at least one piece")
+        bad = (
+            (jobs < 0)
+            | ~(np.isfinite(starts) & np.isfinite(ends))
+            | (ends <= starts)
+            | ~np.isfinite(speeds)
+            | (speeds <= 0.0)
+        )
+        if bad.any():
+            k = int(np.argmax(bad))
+            # the Piece constructor raises the offending row's own error
+            Piece(job=int(jobs[k]), processor=0, start=float(starts[k]),
+                  end=float(ends[k]), speed=float(speeds[k]))
+        schedule = cls.__new__(cls)
+        schedule._setup(instance, power, 0, None)
+        schedule._check_job_range(jobs)
+        order = np.lexsort((jobs, starts))
+        procs = np.zeros(len(jobs), dtype=np.intp)
+        schedule._pieces = None
+        schedule._columns = (jobs[order], procs, starts[order], ends[order], speeds[order])
+        return schedule
+
     @classmethod
     def from_speeds(
         cls,
@@ -267,7 +340,7 @@ class Schedule:
         return self._completion_cache
 
     def _compute_times(self) -> None:
-        jobs, _, piece_starts, piece_ends, _ = self._piece_arrays()
+        jobs, _, piece_starts, piece_ends, _ = self.columns
         starts = np.full(self.instance.n_jobs, math.inf)
         ends = np.full(self.instance.n_jobs, -math.inf)
         np.minimum.at(starts, jobs, piece_starts)
@@ -286,7 +359,7 @@ class Schedule:
         *work-weighted average* speed is returned; the canonical optimal
         schedules always have a single speed per job so this is exact there.
         """
-        jobs, _, starts, ends, piece_speeds = self._piece_arrays()
+        jobs, _, starts, ends, piece_speeds = self.columns
         durations = ends - starts
         total_time = np.bincount(jobs, weights=durations, minlength=self.instance.n_jobs)
         total_work = np.bincount(
@@ -323,12 +396,12 @@ class Schedule:
     @property
     def energy(self) -> float:
         """Total energy consumed by all pieces."""
-        _, _, starts, ends, speeds = self._piece_arrays()
+        _, _, starts, ends, speeds = self.columns
         return float(np.sum(power_eval(self.power, speeds) * (ends - starts)))
 
     def energy_by_processor(self) -> np.ndarray:
         """Energy consumed on each processor."""
-        _, procs, starts, ends, speeds = self._piece_arrays()
+        _, procs, starts, ends, speeds = self.columns
         return np.bincount(
             procs,
             weights=power_eval(self.power, speeds) * (ends - starts),
@@ -337,7 +410,7 @@ class Schedule:
 
     def processor_completion_times(self) -> np.ndarray:
         """Latest piece end on each processor (``0`` for idle processors)."""
-        _, procs, _, ends, _ = self._piece_arrays()
+        _, procs, _, ends, _ = self.columns
         result = np.zeros(self.n_processors)
         np.maximum.at(result, procs, ends)
         return result

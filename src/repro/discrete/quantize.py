@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -197,22 +198,39 @@ def quantize_schedule(
 class ProfileQuantization:
     """Outcome of quantising a piecewise-constant speed profile.
 
-    ``segments`` keeps the ``(start, end, speed)`` convention of
+    ``profile`` is the quantised profile as an ``(S, 3)`` array of
+    ``(start, end, speed)`` rows, the input of
     :func:`repro.online.execute_profile_edf`; speed ``0.0`` marks idle time.
+    :attr:`segments` is the same rows as a tuple of triples.
     ``deficit_work`` is the work the quantized profile can no longer place
     inside the original windows (clamping above ``max_speed``, or nearest
     rounding down) -- the caller must append make-up capacity (e.g. a
     maximum-speed tail) or accept deadline misses.
     """
 
-    segments: tuple[tuple[float, float, float], ...]
+    profile: np.ndarray
     clamped_segments: int
     slowed_segments: int
     deficit_work: float
 
+    @cached_property
+    def segments(self) -> tuple[tuple[float, float, float], ...]:
+        """The quantised ``(start, end, speed)`` rows as a tuple of triples."""
+        return tuple(map(tuple, self.profile.tolist()))
+
+
+def _isclose(a: np.ndarray, b: np.ndarray | float) -> np.ndarray:
+    """Element-wise :func:`math.isclose` at its default tolerances."""
+    diff = np.abs(b - a)
+    near = (diff <= np.abs(1e-9 * b)) | (diff <= np.abs(1e-9 * a))
+    # an infinite difference is never close; equal infinities are
+    return (a == b) | (near & np.isfinite(diff))
+
 
 def quantize_profile(
-    segments: list[tuple[float, float, float]] | tuple[tuple[float, float, float], ...],
+    segments: list[tuple[float, float, float]]
+    | tuple[tuple[float, float, float], ...]
+    | np.ndarray,
     levels: SpeedLevels,
     policy: str = "two-level",
 ) -> ProfileQuantization:
@@ -225,60 +243,89 @@ def quantize_profile(
     the window (work-conserving, no delay).  Segments above ``max_speed``
     are clamped and accrue ``deficit_work``; with the ``"nearest"`` policy,
     rounding down does the same.
+
+    ``segments`` may be a sequence of triples or an ``(S, 3)`` array.  Every
+    rule is a mask over the whole profile: each input row yields one or two
+    output rows, kept in input order, with the float operations of
+    :func:`two_level_split` and :meth:`SpeedLevels.bracket` /
+    :meth:`SpeedLevels.nearest` applied element-wise, and the deficit summed
+    in input order.
     """
     _check_policy(policy)
-    out: list[tuple[float, float, float]] = []
-    clamped = 0
-    slowed = 0
-    deficit = 0.0
-    for start, end, speed in segments:
-        duration = float(end) - float(start)
-        if duration <= 0:
+    table = np.asarray(segments, dtype=float).reshape(-1, 3)
+    start, end, speed = table[:, 0], table[:, 1], table[:, 2]
+    duration = end - start
+    bad = (duration <= 0) | (speed < -IDLE_SPEED_EPS)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if duration[k] <= 0:
             raise InvalidScheduleError(
-                f"profile segment [{start:g}, {end:g}] has non-positive duration"
+                f"profile segment [{start[k]:g}, {end[k]:g}] has non-positive duration"
             )
-        if speed < -IDLE_SPEED_EPS:
-            raise InvalidScheduleError("profile speeds must be non-negative")
-        if speed <= IDLE_SPEED_EPS:
-            # includes float-noise "negative zeros" the profile builders emit
-            # for idle stretches (e.g. -1e-16 from AVR's density sums)
-            out.append((float(start), float(end), 0.0))
-            continue
-        if speed > levels.max_speed and not math.isclose(speed, levels.max_speed):
-            clamped += 1
-            deficit += (speed - levels.max_speed) * duration
-            out.append((float(start), float(end), levels.max_speed))
-            continue
+        raise InvalidScheduleError("profile speeds must be non-negative")
+    ladder = np.asarray(levels.levels)
+    top, bottom = levels.max_speed, levels.min_speed
+    # speeds at or below IDLE_SPEED_EPS include the float-noise "negative
+    # zeros" the profile builders emit for idle stretches (e.g. -1e-16 from
+    # AVR's density sums): they stay idle
+    idle = speed <= IDLE_SPEED_EPS
+    clamped = ~idle & (speed > top) & ~_isclose(speed, top)
+    rest = ~(idle | clamped)
+    # every row becomes (start, first_end, first_speed) and, where kept,
+    # (second_start, end, second_speed): a "busy" row runs the planned work
+    # at ``level`` and then idles, a "split" row runs at hi and then at lo
+    with np.errstate(divide="ignore", invalid="ignore"):
         if policy == "nearest":
-            level = levels.nearest(speed)
-            if level >= speed or math.isclose(level, speed):
-                busy = speed * duration / level
-                out.append((float(start), float(start) + busy, level))
-                if duration - busy > 1e-15:
-                    out.append((float(start) + busy, float(end), 0.0))
-            else:
-                slowed += 1
-                deficit += (speed - level) * duration
-                out.append((float(start), float(end), level))
-            continue
-        if speed < levels.min_speed and not math.isclose(speed, levels.min_speed):
-            busy = speed * duration / levels.min_speed
-            out.append((float(start), float(start) + busy, levels.min_speed))
-            if duration - busy > 1e-15:
-                out.append((float(start) + busy, float(end), 0.0))
-            continue
-        lo, hi = levels.bracket(speed)
-        frac_hi, frac_lo = two_level_split(speed, lo, hi)
-        t_hi = duration * frac_hi
-        cursor = float(start)
-        if t_hi > 1e-15:
-            out.append((cursor, cursor + t_hi, hi))
-            cursor += t_hi
-        if duration * frac_lo > 1e-15:
-            out.append((cursor, float(end), lo))
+            level = ladder[np.argmin(np.abs(ladder - speed[:, np.newaxis]), axis=1)]
+            busy = rest & ((level >= speed) | _isclose(level, speed))
+            slowed = rest & ~busy
+            split = np.zeros_like(busy)
+            deficit_rows = clamped | slowed
+            deficit = (speed - np.where(clamped, top, level)) * duration
+            first_speed = np.where(clamped, top, level)
+        else:
+            busy = rest & (speed < bottom) & ~_isclose(speed, bottom)
+            slowed = np.zeros_like(busy)
+            split = rest & ~busy
+            level = bottom
+            deficit_rows = clamped
+            deficit = (speed - top) * duration
+            # the bracketing levels, pinned to the ends outside the ladder
+            hi_idx = np.minimum(np.searchsorted(ladder, speed), len(ladder) - 1)
+            lo_idx = np.where(ladder[hi_idx] > speed, hi_idx - 1, hi_idx)
+            inside = (speed > bottom) & (speed < top)
+            pinned = np.where(speed <= bottom, bottom, top)
+            lo = np.where(inside, ladder[lo_idx], pinned)
+            hi = np.where(inside, ladder[hi_idx], pinned)
+            same = _isclose(hi, lo)
+            frac_hi = np.where(same, 1.0, (speed - lo) / (hi - lo))
+            frac_lo = np.where(same, 0.0, 1.0 - frac_hi)
+            t_hi = duration * frac_hi
+            has_hi = t_hi > 1e-15
+            hi_end = start + t_hi
+            first_speed = np.where(split, hi, np.where(clamped, top, bottom))
+        busy_time = speed * duration / level
+    busy_end = start + busy_time
+    out = np.empty((len(table), 2, 3))
+    out[:, 0, 0] = start
+    out[:, 0, 1] = np.where(busy, busy_end, end)
+    out[:, 0, 2] = np.where(idle, 0.0, first_speed)
+    out[:, 1, 0] = busy_end
+    out[:, 1, 1] = end
+    out[:, 1, 2] = 0.0
+    keep = np.empty((len(table), 2), dtype=bool)
+    keep[:, 0] = True
+    keep[:, 1] = busy & (duration - busy_time > 1e-15)
+    if split.any():
+        out[split, 0, 1] = hi_end[split]
+        out[split, 1, 0] = np.where(has_hi, hi_end, start)[split]
+        out[split, 1, 2] = lo[split]
+        keep[split, 0] = has_hi[split]
+        keep[split, 1] = (duration * frac_lo > 1e-15)[split]
+    parts = deficit[deficit_rows]
     return ProfileQuantization(
-        segments=tuple(out),
-        clamped_segments=clamped,
-        slowed_segments=slowed,
-        deficit_work=deficit,
+        profile=out[keep],
+        clamped_segments=int(np.count_nonzero(clamped)),
+        slowed_segments=int(np.count_nonzero(slowed)),
+        deficit_work=float(np.add.accumulate(parts)[-1]) if len(parts) else 0.0,
     )

@@ -14,7 +14,7 @@ solvable.
 
 GAP (the computer-algebra system the paper uses for the Galois-group
 computation) is not available offline, so this module reproduces everything
-*around* that final step, as recorded in DESIGN.md:
+*around* that final step (README, "Deviations from the paper"):
 
 * the exact polynomial coefficients from the paper,
 * a solver for the optimality system (equations (1)-(3) of the paper) by

@@ -10,9 +10,11 @@ This subpackage provides:
 * :mod:`~repro.online.oa` -- Optimal Available (scalar reference plus the
   incremental prefix-density engine :func:`~repro.online.oa.oa_schedule_incremental`),
 * :mod:`~repro.online.bkp` -- the Bansal-Kimbrel-Pruhs algorithm
-  (vectorised profile on the cumulative work grid),
-* :mod:`~repro.online.executor` -- EDF execution of speed profiles (heap
-  hot loop plus the retained scalar reference),
+  (all intervals' slice grids in one blocked pass on the cumulative work
+  grid, returned as an ``(S, 3)`` array),
+* :mod:`~repro.online.executor` -- event-driven EDF execution of speed
+  profiles (heap steps at events, vectorised runs of whole segments,
+  columnar schedules),
 * :mod:`~repro.online.compete` -- the competitive-ratio evaluation pipeline
   (grid sweeps through :func:`repro.batch.solve_many`, ``repro compete``).
 
@@ -23,14 +25,9 @@ against YDS and writes ``BENCH_online.json``.
 """
 
 from .avr import avr_schedule, avr_speed_profile, avr_speed_profile_reference
-from .bkp import (
-    bkp_schedule,
-    bkp_speed_at,
-    bkp_speed_profile,
-    bkp_speed_profile_reference,
-)
+from .bkp import bkp_schedule, bkp_speed_profile
 from .compete import ALGORITHMS, FAMILIES, RATIO_BOUNDS, competitive_sweep
-from .executor import execute_profile_edf, execute_profile_edf_reference
+from .executor import execute_profile_edf
 from .oa import oa_schedule, oa_schedule_incremental
 from .yds import (
     YDSResult,
@@ -45,15 +42,12 @@ __all__ = [
     "avr_speed_profile",
     "avr_speed_profile_reference",
     "bkp_schedule",
-    "bkp_speed_at",
     "bkp_speed_profile",
-    "bkp_speed_profile_reference",
     "ALGORITHMS",
     "FAMILIES",
     "RATIO_BOUNDS",
     "competitive_sweep",
     "execute_profile_edf",
-    "execute_profile_edf_reference",
     "oa_schedule",
     "oa_schedule_incremental",
     "YDSResult",

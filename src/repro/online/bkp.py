@@ -20,8 +20,9 @@ grows; because holding an overestimate too long can shave a sliver of work off
 the tail, the executor tolerates (and then rescales away) a tiny relative
 work deficit, and the tests check deadline feasibility only up to the
 discretisation tolerance.  This is an extension experiment (the paper itself
-proves nothing new about BKP), so the approximate simulation is acceptable
-and is documented as such in EXPERIMENTS.md.
+proves nothing new about BKP), so the approximate simulation is acceptable;
+README's "Deviations from the paper" section records the 64-slice grid and
+the 1e-3 work tolerance.
 """
 
 from __future__ import annotations
@@ -37,63 +38,47 @@ from ..core.schedule import Schedule
 from ..exceptions import InvalidInstanceError
 from .executor import execute_profile_edf
 
-__all__ = [
-    "bkp_speed_at",
-    "bkp_speed_profile",
-    "bkp_speed_profile_reference",
-    "bkp_schedule",
-]
+__all__ = ["bkp_speed_profile", "bkp_schedule"]
+
+#: (candidate, slice) evaluations per block of the profile pass: bounds the
+#: temporaries to a few hundred KiB whatever the instance size.
+_BLOCK_CELLS = 16384
 
 
-def bkp_speed_at(instance: Instance, t: float) -> float:
-    """The BKP speed at time ``t`` (exact evaluation of the max over ``t'``).
-
-    The maximum over ``t'`` only needs to consider deadlines of jobs released
-    by ``t`` (the work function is piecewise constant in ``t'`` and changes
-    only at deadlines), which keeps the evaluation exact and cheap.
-    """
-    releases = instance.releases
-    deadlines = instance.deadlines
-    works = instance.works
-    arrived = releases <= t + 1e-12
-    if not np.any(arrived):
-        return 0.0
-    e = math.e
-    best = 0.0
-    for t_prime in sorted(set(deadlines[arrived])):
-        if t_prime <= t:
-            continue
-        t1 = e * t - (e - 1.0) * t_prime
-        mask = arrived & (releases >= t1 - 1e-12) & (deadlines <= t_prime + 1e-12)
-        work = float(np.sum(works[mask]))
-        if work <= 0.0:
-            continue
-        best = max(best, e * work / (t_prime - t))
-    return best
+def _slice_grid(starts: np.ndarray, ends: np.ndarray, steps: int) -> np.ndarray:
+    """Row ``k`` is ``np.linspace(starts[k], ends[k], steps + 1)``, bit for bit."""
+    delta = ends - starts
+    step = delta / steps
+    ramp = np.arange(steps + 1, dtype=float)
+    grid = np.where(
+        (step == 0.0)[:, np.newaxis],
+        # linspace's denormal branch: scale the ramp by delta / steps late
+        (ramp / steps)[np.newaxis, :] * delta[:, np.newaxis],
+        ramp[np.newaxis, :] * step[:, np.newaxis],
+    )
+    grid += starts[:, np.newaxis]
+    grid[:, -1] = ends
+    return grid
 
 
-def bkp_speed_profile(
-    instance: Instance,
-    steps_per_interval: int = 64,
-    *,
-    grid: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> list[tuple[float, float, float]]:
+def bkp_speed_profile(instance: Instance, steps_per_interval: int = 64) -> np.ndarray:
     """Discretised BKP speed profile between consecutive event points.
 
-    Vectorised: the window work function ``w(t, t1, t2)`` is evaluated for a
-    whole interval's slice grid at once as differences of the cumulative
-    release x deadline work grid (:func:`repro.core.kernels.interval_work_grid`),
-    instead of one :func:`bkp_speed_at` scan per slice.  The candidate set,
-    tolerances and tie handling replicate the scalar evaluation exactly;
-    the equivalence suite pins this function to
-    :func:`bkp_speed_profile_reference` at 1e-9.
+    Returns an ``(S, 3)`` array of ``(start, end, speed)`` rows, the
+    ``steps_per_interval`` slices of each event interval in time order.
 
-    ``grid`` optionally supplies a precomputed ``(grid_r, grid_d,
-    member_work)`` triple.  Duplicate-keeping axes — one row of
-    :func:`repro.core.kernels.interval_work_grid_batched` — are accepted:
-    searchsorted reads at any duplicate index equal the unique-grid entry
-    bitwise, so the profile is unchanged.  This is how the batched solver
-    tier amortises the grid construction over a whole chunk.
+    Every slice of every interval is evaluated in one blocked pass.  The
+    window work function ``w(t, t1, t2)`` is a difference of two entries of
+    the cumulative release x deadline work grid
+    (:func:`repro.core.kernels.interval_work_grid`), and a candidate ``t'``
+    of an interval is *live* when its job has arrived by the interval's last
+    slice and its deadline lies after the interval start -- a deadline at or
+    before the start gives every slice a non-positive span, which the max
+    ignores.  The live (interval, candidate) pairs are expanded over the
+    interval's slices in blocks of at most ``_BLOCK_CELLS`` evaluations and
+    max-reduced per interval, with the tolerances, operation order and
+    per-slice arrival test of a one-slice-at-a-time evaluation, so the
+    profile is bit-identical to it.
     """
     if not instance.has_deadlines():
         raise InvalidInstanceError("BKP requires deadlines on every job")
@@ -101,64 +86,40 @@ def bkp_speed_profile(
         raise InvalidInstanceError("steps_per_interval must be >= 1")
     releases = instance.releases  # sorted (Instance orders jobs by release)
     deadlines = instance.deadlines
-    works = instance.works
     e = math.e
-    if grid is None:
-        grid_r, grid_d, member = interval_work_grid(releases, deadlines, works)
-    else:
-        grid_r, grid_d, member = grid
+    grid_r, grid_d, member = interval_work_grid(releases, deadlines, instance.works)
     events = np.unique(np.concatenate([releases, deadlines]))
+    grid = _slice_grid(events[:-1], events[1:], steps_per_interval)
+    ts = grid[:, :-1]  # (intervals, steps) slice start times
+    arrived = np.searchsorted(releases, ts + 1e-12, side="right")
+    upper = np.searchsorted(grid_r, ts + 1e-12, side="right")  # release > t + 1e-12
+    # candidate t' = each distinct deadline, available once its first job arrived
+    _, first_job = np.unique(deadlines, return_index=True)
+    b_idx = np.searchsorted(grid_d, grid_d + 1e-12, side="right") - 1
+    live = (first_job[np.newaxis, :] < arrived[:, -1:]) & (
+        grid_d[np.newaxis, :] > events[:-1, np.newaxis]
+    )
+    pair_k, pair_u = np.nonzero(live)
 
-    segments: list[tuple[float, float, float]] = []
-    for start, end in zip(events, events[1:]):
-        grid = np.linspace(float(start), float(end), steps_per_interval + 1)
-        ts = grid[:-1]
-        speeds = np.zeros(len(ts))
-        # the arrived set is constant per slice grid except in pathological
-        # sub-1e-12 intervals, so group the slice times by arrived count
-        counts = np.searchsorted(releases, ts + 1e-12, side="right")
-        for cnt in np.unique(counts):
-            sel = counts == cnt
-            if cnt == 0:
-                continue
-            t_sel = ts[sel]
-            # candidate t' values: distinct deadlines of arrived jobs
-            candidates = np.unique(deadlines[:cnt])
-            # w(t, t1, t') via the cumulative grid: release >= t1 - 1e-12
-            # minus release > t + 1e-12, both with deadline <= t' + 1e-12
-            b_idx = np.searchsorted(grid_d, candidates + 1e-12, side="right") - 1
-            t1 = e * t_sel[np.newaxis, :] - (e - 1.0) * candidates[:, np.newaxis]
-            a1 = np.searchsorted(grid_r, t1 - 1e-12, side="left")
-            a2 = np.searchsorted(grid_r, t_sel + 1e-12, side="right")
-            work = (
-                member[a1, b_idx[:, np.newaxis]]
-                - member[a2[np.newaxis, :], b_idx[:, np.newaxis]]
-            )
-            span = candidates[:, np.newaxis] - t_sel[np.newaxis, :]
-            valid = (span > 0.0) & (work > 0.0)
-            value = np.where(valid, e * work / np.where(valid, span, 1.0), 0.0)
-            speeds[sel] = np.max(value, axis=0, initial=0.0)
-        for a, b, s in zip(grid, grid[1:], speeds):
-            segments.append((float(a), float(b), float(s)))
-    return segments
-
-
-def bkp_speed_profile_reference(
-    instance: Instance, steps_per_interval: int = 64
-) -> list[tuple[float, float, float]]:
-    """Scalar reference profile: one :func:`bkp_speed_at` call per slice."""
-    if not instance.has_deadlines():
-        raise InvalidInstanceError("BKP requires deadlines on every job")
-    if steps_per_interval < 1:
-        raise InvalidInstanceError("steps_per_interval must be >= 1")
-    events = np.unique(np.concatenate([instance.releases, instance.deadlines]))
-    segments: list[tuple[float, float, float]] = []
-    for start, end in zip(events, events[1:]):
-        grid = np.linspace(float(start), float(end), steps_per_interval + 1)
-        for a, b in zip(grid, grid[1:]):
-            speed = bkp_speed_at(instance, float(a))
-            segments.append((float(a), float(b), speed))
-    return segments
+    speeds = np.zeros(ts.shape)
+    per_block = max(1, _BLOCK_CELLS // steps_per_interval)
+    for lo in range(0, len(pair_k), per_block):
+        k = pair_k[lo : lo + per_block]
+        u = pair_u[lo : lo + per_block]
+        t = ts[k]
+        c = grid_d[u][:, np.newaxis]
+        b = b_idx[u][:, np.newaxis]
+        t1 = e * t - (e - 1.0) * c
+        a1 = np.searchsorted(grid_r, t1 - 1e-12, side="left")
+        work = member[a1, b] - member[upper[k], b]
+        span = c - t
+        valid = (span > 0.0) & (work > 0.0) & (first_job[u][:, np.newaxis] < arrived[k])
+        value = np.where(valid, e * work / np.where(valid, span, 1.0), 0.0)
+        # pairs are grouped by interval: max-reduce each group of rows
+        heads = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+        rows = k[heads]
+        speeds[rows] = np.maximum(speeds[rows], np.maximum.reduceat(value, heads, axis=0))
+    return np.column_stack([ts.ravel(), grid[:, 1:].ravel(), speeds.ravel()])
 
 
 def bkp_schedule(
@@ -166,11 +127,7 @@ def bkp_schedule(
     power: PowerFunction,
     steps_per_interval: int = 64,
     work_tolerance: float = 1e-3,
-    *,
-    grid: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> Schedule:
     """Execute the (discretised) BKP policy and return the resulting schedule."""
-    profile = bkp_speed_profile(
-        instance, steps_per_interval=steps_per_interval, grid=grid
-    )
+    profile = bkp_speed_profile(instance, steps_per_interval=steps_per_interval)
     return execute_profile_edf(instance, power, profile, work_tolerance=work_tolerance)

@@ -60,27 +60,6 @@ def _run_avr_batch(requests: list[SolveRequest]) -> list[tuple]:
     ]
 
 
-def _run_bkp_batch(requests: list[SolveRequest]) -> list[tuple]:
-    """Batched BKP: share one packed release x deadline work grid per chunk."""
-    from ..core.kernels import interval_work_grid_batched, pack_instances
-    from .bkp import bkp_schedule
-
-    batch = pack_instances([request.instance for request in requests])
-    grid_r, grid_d, member = interval_work_grid_batched(
-        batch.releases, batch.deadlines, batch.works, batch.mask
-    )
-    results: list[tuple] = []
-    for b, request in enumerate(requests):
-        n = request.instance.n_jobs
-        schedule = bkp_schedule(
-            request.instance,
-            request.power,
-            grid=(grid_r[b, :n], grid_d[b, :n], member[b, : n + 1, :n]),
-        )
-        results.append(_energy_result(schedule))
-    return results
-
-
 def _run_yds_anytime(request: SolveRequest) -> tuple:
     """Anytime YDS: certified AVR cut, exact escalation when the gap is big.
 
@@ -182,12 +161,6 @@ def register_solvers(registry) -> None:
         _run_oa,
     )
     registry.register(
-        caps(
-            "bkp",
-            "Bansal-Kimbrel-Pruhs online algorithm (discretised)",
-            online=True,
-            batch_kernel=True,
-        ),
+        caps("bkp", "Bansal-Kimbrel-Pruhs online algorithm (discretised)", online=True),
         _run_bkp,
-        batch_fn=_run_bkp_batch,
     )

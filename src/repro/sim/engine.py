@@ -133,15 +133,16 @@ def _planned_schedule(
     if levels is None:
         return execute_profile_edf(instance, power, profile, work_tolerance=tolerance), 0
     pq = quantize_profile(profile, levels, machine.quantization)
-    segments = list(pq.segments)
+    segments = pq.profile
     if pq.deficit_work > 0:
         # make-up capacity for work the quantized profile cannot place in the
         # original windows: a max-speed tail after the last segment.  EDF only
         # uses it if work is actually left over; jobs finishing there are the
         # recorded deadline misses.
-        last_end = max(end for _, end, _ in segments)
+        last_end = float(segments[:, 1].max())
         duration = pq.deficit_work / levels.max_speed * 1.001 + 1e-9
-        segments.append((last_end, last_end + duration, levels.max_speed))
+        tail = (last_end, last_end + duration, levels.max_speed)
+        segments = np.vstack([segments, tail])
     executed = execute_profile_edf(
         instance, power, segments, work_tolerance=tolerance
     )
@@ -149,18 +150,25 @@ def _planned_schedule(
 
 
 def _merged_runs(schedule: Schedule) -> list[tuple[float, float, float]]:
-    """The machine's busy timeline: maximal same-speed runs, chronological."""
-    pieces = sorted(schedule.pieces, key=lambda p: (p.start, p.end))
+    """The machine's busy timeline: maximal same-speed runs, chronological.
+
+    Walks the schedule's piece columns ordered by ``(start, end)``, so no
+    :class:`~repro.core.schedule.Piece` is built.
+    """
+    _, _, starts, ends, speeds = schedule.columns
+    order = np.lexsort((ends, starts))
     runs: list[tuple[float, float, float]] = []
-    for piece in pieces:
+    for piece_start, piece_end, piece_speed in zip(
+        starts[order].tolist(), ends[order].tolist(), speeds[order].tolist()
+    ):
         if runs:
             start, end, speed = runs[-1]
-            contiguous = piece.start - end <= _GAP_EPS
-            same = math.isclose(piece.speed, speed, rel_tol=_SPEED_RTOL)
+            contiguous = piece_start - end <= _GAP_EPS
+            same = math.isclose(piece_speed, speed, rel_tol=_SPEED_RTOL)
             if contiguous and same:
-                runs[-1] = (start, max(end, piece.end), speed)
+                runs[-1] = (start, max(end, piece_end), speed)
                 continue
-        runs.append((piece.start, piece.end, piece.speed))
+        runs.append((piece_start, piece_end, piece_speed))
     return runs
 
 

@@ -19,6 +19,7 @@ import repro.cache_store
 import repro.exceptions
 import repro.faults
 import repro.io
+import repro.online
 import repro.service
 import repro.sim
 import repro.verify
@@ -146,6 +147,29 @@ SIM_SURFACE = {
     "trace_to_jsonl",
 }
 
+#: The online engine's exports: the policies, their profiles, the EDF
+#: executor and the competitive pipeline.  Scalar references that only
+#: anchor tests live in ``tests/oracles/``, not here.
+ONLINE_SURFACE = {
+    "ALGORITHMS",
+    "FAMILIES",
+    "RATIO_BOUNDS",
+    "YDSResult",
+    "avr_schedule",
+    "avr_speed_profile",
+    "avr_speed_profile_reference",
+    "bkp_schedule",
+    "bkp_speed_profile",
+    "competitive_sweep",
+    "edf_schedule_at_speeds",
+    "execute_profile_edf",
+    "oa_schedule",
+    "oa_schedule_incremental",
+    "yds_schedule",
+    "yds_speeds",
+    "yds_speeds_reference",
+}
+
 FAULTS_SURFACE = {
     "SITES",
     "WORKER_EXCEPTION",
@@ -265,6 +289,10 @@ def test_sim_surface_snapshot():
     assert set(repro.sim.__all__) == SIM_SURFACE
 
 
+def test_online_surface_snapshot():
+    assert set(repro.online.__all__) == ONLINE_SURFACE
+
+
 def test_faults_surface_snapshot():
     assert set(repro.faults.__all__) == FAULTS_SURFACE
 
@@ -283,7 +311,7 @@ def test_registered_solver_names_snapshot():
 
 def test_all_names_actually_exported():
     for module in (repro, repro.api, repro.io, repro.batch, repro.cache,
-                   repro.exceptions, repro.faults, repro.service, repro.sim,
-                   repro.verify):
+                   repro.exceptions, repro.faults, repro.online, repro.service,
+                   repro.sim, repro.verify):
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name} missing"

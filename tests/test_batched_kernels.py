@@ -36,8 +36,6 @@ from repro.core.kernels import (
     common_release_prefix_speeds_batched,
     energy_eval,
     energy_eval_batched,
-    interval_work_grid,
-    interval_work_grid_batched,
     max_density_interval,
     max_density_interval_batched,
     pack_instances,
@@ -47,7 +45,6 @@ from repro.core.kernels import (
 from repro.core.power import AffinePolynomialPower
 from repro.exceptions import InvalidInstanceError
 from repro.online.avr import avr_speed_profile, avr_speed_profiles_batch
-from repro.online.bkp import bkp_speed_profile
 from repro.online.yds import (
     edf_energy_speeds,
     edf_schedule_at_speeds,
@@ -157,35 +154,6 @@ def test_chain_start_times_batched_bitwise(instances):
 
 @common_settings
 @given(instances=instance_chunks())
-def test_interval_work_grid_batched_reads_match_unique_grid(instances):
-    """Dup-axis rows answer every searchsorted read like the unique grid.
-
-    This is the exact read pattern :func:`repro.online.bkp.bkp_speed_profile`
-    performs against an injected grid row.
-    """
-    batch = pack_instances(instances)
-    grid_r, grid_d, member = interval_work_grid_batched(
-        batch.releases, batch.deadlines, batch.works, batch.mask
-    )
-    for b, inst in enumerate(instances):
-        n = inst.n_jobs
-        u_r, u_d, u_member = interval_work_grid(
-            inst.releases, inst.deadlines, inst.works
-        )
-        d_r, d_d, d_member = grid_r[b, :n], grid_d[b, :n], member[b, : n + 1, :n]
-        queries = np.unique(
-            np.concatenate([u_r, u_d, u_r - 1e-12, u_d + 1e-12, [0.0, 1e9]])
-        )
-        a_u = np.searchsorted(u_r, queries, side="left")
-        a_d = np.searchsorted(d_r, queries, side="left")
-        for c in np.unique(inst.deadlines):
-            b_u = np.searchsorted(u_d, c + 1e-12, side="right") - 1
-            b_d = np.searchsorted(d_d, c + 1e-12, side="right") - 1
-            assert np.array_equal(u_member[a_u, b_u], d_member[a_d, b_d])
-
-
-@common_settings
-@given(instances=instance_chunks())
 def test_max_density_interval_batched_bitwise(instances):
     batch = pack_instances(instances)
     t1, t2, density = max_density_interval_batched(
@@ -286,23 +254,6 @@ def test_avr_profiles_batch_exact(instances):
         assert profile == avr_speed_profile(inst)
 
 
-@common_settings
-@given(instances=instance_chunks())
-def test_bkp_profile_with_batched_grid_exact(instances):
-    batch = pack_instances(instances)
-    grid_r, grid_d, member = interval_work_grid_batched(
-        batch.releases, batch.deadlines, batch.works, batch.mask
-    )
-    for b, inst in enumerate(instances):
-        n = inst.n_jobs
-        injected = bkp_speed_profile(
-            inst,
-            steps_per_interval=8,
-            grid=(grid_r[b, :n], grid_d[b, :n], member[b, : n + 1, :n]),
-        )
-        assert injected == bkp_speed_profile(inst, steps_per_interval=8)
-
-
 # ----------------------------------------------------------------------
 # registry dispatch: run_batch vs per-request run
 # ----------------------------------------------------------------------
@@ -319,7 +270,7 @@ def _result_key(result):
     )
 
 
-@pytest.mark.parametrize("solver", ["yds", "avr", "bkp"])
+@pytest.mark.parametrize("solver", ["yds", "avr"])
 def test_run_batch_byte_identical_to_run(solver):
     rng = np.random.default_rng(5)
     instances = []
@@ -430,7 +381,7 @@ def _batch_key(results):
     ]
 
 
-@pytest.mark.parametrize("solver", ["yds", "avr", "bkp"])
+@pytest.mark.parametrize("solver", ["yds", "avr"])
 def test_solve_stream_batch_kernel_modes_byte_identical(solver):
     instances = _fleet()
     baseline = _batch_key(
@@ -455,6 +406,16 @@ def test_solve_stream_batch_kernel_on_needs_capability():
     instances = _fleet(sizes=(4, 4))
     with pytest.raises(InvalidInstanceError, match="registers no batched kernel"):
         list(solve_many(instances, POWER, 100.0, solver="laptop", batch_kernel="on"))
+
+
+def test_bkp_runs_per_instance_like_any_solver_without_a_kernel():
+    # the array-native BKP path made the shared-grid batch kernel pointless:
+    # "auto" runs bkp per instance and "on" refuses it like laptop above
+    assert not REGISTRY.capabilities("bkp").batch_kernel
+    instances = _fleet(sizes=(4, 4, 4))
+    assert all(r.ok for r in solve_many(instances, POWER, 0.0, solver="bkp"))
+    with pytest.raises(InvalidInstanceError, match="registers no batched kernel"):
+        list(solve_many(instances, POWER, 0.0, solver="bkp", batch_kernel="on"))
 
 
 def test_solve_stream_batch_kernel_rejects_unknown_mode():

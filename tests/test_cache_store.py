@@ -411,6 +411,35 @@ class TestSqliteSharedTier:
             assert reader.get(request) is not None
         assert reader.stats().disk_hits == len(requests)
 
+    def test_first_open_retries_a_locked_journal_switch(self, tmp_path, monkeypatch):
+        # connections first opening a fresh database at once: one of them
+        # gets "database is locked" from the journal-mode switch at once,
+        # without SQLite waiting out busy_timeout; the write must still land
+        class LockedOnce(sqlite3.Connection):
+            raised = False
+
+            def execute(self, sql, *args):
+                if sql.startswith("PRAGMA journal_mode") and not LockedOnce.raised:
+                    LockedOnce.raised = True
+                    raise sqlite3.OperationalError("database is locked")
+                return super().execute(sql, *args)
+
+        connect = sqlite3.connect
+        monkeypatch.setattr(
+            sqlite3, "connect", lambda *a, **k: connect(*a, factory=LockedOnce, **k)
+        )
+        path = tmp_path / "cache.sqlite3"
+        cache = ResultCache(store=SqliteStore(path))
+        request = _request_for("laptop")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cache.put(request, api_solve(request))
+        assert LockedOnce.raised
+        assert cache.stats().disk_errors == 0
+        monkeypatch.undo()
+        reader = ResultCache(store=SqliteStore(path), max_memory_entries=0)
+        assert reader.get(request) is not None
+
     def test_true_cross_process_read(self, tmp_path):
         path = tmp_path / "cache.sqlite3"
         store = SqliteStore(path)

@@ -58,6 +58,10 @@ GOLDEN_CASES = {
                  "--machine", "athlon64", "--json"],
     "sim_table.txt": ["sim", "--family", "heavy-tail", "--size", "8",
                       "--seed", "1", "--machine", "static-sleep"],
+    # BKP at the sim-replay benchmark's size (the goldens above reach it
+    # only at n <= 12)
+    "sim_mmpp64.json": ["sim", "--family", "mmpp", "--size", "64", "--seed", "7000",
+                        "--machine", "athlon64", "--json"],
 }
 
 

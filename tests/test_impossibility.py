@@ -65,7 +65,8 @@ class TestOptimalitySystem:
         assert c1 < c2 < c3
 
     def test_solution_exists_inside_measured_window(self):
-        # budgets measured (see EXPERIMENTS.md) to have the tight configuration
+        # budgets measured (README, "Deviations from the paper") to have the
+        # tight configuration
         solution = solve_optimality_system(10.8)
         assert solution.sigma3 > 0
         assert 1.0 / solution.sigma1 + 1.0 / solution.sigma2 == pytest.approx(1.0, rel=1e-9)
@@ -90,7 +91,7 @@ class TestHardInstance:
     def test_optimal_flow_at_budget_9_beats_or_matches_tight_candidate(self, cube):
         # Our solvers find the dense (late, late) configuration optimal at E=9,
         # with strictly lower flow than the C_2 = 1 candidate the paper analyses;
-        # this discrepancy is recorded in EXPERIMENTS.md.  Either way, the
+        # README's "Deviations from the paper" records it.  Either way, the
         # optimum can never be *worse* than the tight candidate.
         tight = solve_optimality_system(9.0)
         optimum = equal_work_flow_laptop(hard_instance(), cube, 9.0)
@@ -99,7 +100,8 @@ class TestHardInstance:
     def test_tight_window_upper_end_matches_paper(self, cube):
         lo, hi = tight_configuration_energy_window(resolution=0.1)
         # paper: approximately (8.43, 11.54); our measurement reproduces the
-        # upper end (≈11.5) and finds the lower end at ≈10.3 (see EXPERIMENTS.md)
+        # upper end (≈11.5) and finds the lower end at ≈10.3 (README,
+        # "Deviations from the paper")
         assert hi == pytest.approx(11.54, abs=0.25)
         assert 9.5 < lo < 11.0
         assert lo < hi

@@ -9,11 +9,11 @@ import pytest
 
 from repro.core import CUBE, Instance, PolynomialPower
 from repro.exceptions import InvalidInstanceError
+from oracles.bkp import bkp_speed_at
 from repro.online import (
     avr_schedule,
     avr_speed_profile,
     bkp_schedule,
-    bkp_speed_at,
     execute_profile_edf,
     oa_schedule,
     yds_schedule,
@@ -119,6 +119,13 @@ class TestProfileExecutor:
         inst = Instance.from_arrays([0.0], [1.0], deadlines=[10.0])
         with pytest.raises(InvalidInstanceError):
             execute_profile_edf(inst, cube, [(0.0, 2.0, 1.0), (1.0, 3.0, 1.0)])
+
+    def test_rows_that_are_not_triples_rejected(self, cube):
+        inst = Instance.from_arrays([0.0], [1.0], deadlines=[10.0])
+        with pytest.raises(InvalidInstanceError, match="rows"):
+            execute_profile_edf(inst, cube, [(0.0, 2.0), (2.0, 3.0)])
+        with pytest.raises(InvalidInstanceError, match="rows"):
+            execute_profile_edf(inst, cube, np.ones((2, 4)))
 
     def test_executes_simple_profile(self, cube):
         inst = Instance.from_arrays([0.0, 1.0], [1.0, 1.0], deadlines=[5.0, 4.0])

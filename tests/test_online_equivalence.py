@@ -1,19 +1,25 @@
-"""Equivalence suite for the online engine v2 (incremental / vectorized paths).
+"""Equivalence suite for the online engine (incremental / array-native paths).
 
-Follows the ``tests/test_kernels.py`` pattern: every fast path introduced by
-the online engine is pinned to its retained scalar reference at 1e-9 —
+Every fast path of the online engine is pinned to an oracle --
 
 * ``oa_schedule_incremental`` (prefix-density planner, in-place residual
-  updates) vs ``oa_schedule`` (re-plans with full YDS per event),
+  updates) vs ``oa_schedule`` (re-plans with full YDS per event), at 1e-9,
 * ``avr_speed_profile`` (event-grid scatter-add kernel) vs
-  ``avr_speed_profile_reference`` (one scan per segment),
-* ``bkp_speed_profile`` (cumulative work-grid evaluation) vs
-  ``bkp_speed_profile_reference`` (one ``bkp_speed_at`` per slice),
-* ``execute_profile_edf`` (heap hot loop) vs
-  ``execute_profile_edf_reference`` (full-array rescans),
+  ``avr_speed_profile_reference`` (one scan per segment), at 1e-9,
+* ``bkp_speed_profile`` (all intervals in one blocked pass) vs
+  ``oracles.bkp.bkp_speed_profile_reference`` (one ``bkp_speed_at`` per
+  slice) at 1e-9, and vs ``oracles.bkp.bkp_speed_profile_per_interval``
+  bit for bit,
+* ``execute_profile_edf`` (event-driven, columnar) vs
+  ``oracles.executor.execute_profile_edf_reference`` (full-array rescans) at
+  1e-9, and vs ``oracles.executor.execute_profile_edf_heap`` (one heap step
+  per piece, ``Piece``-based work conservation) bit for bit,
+* ``quantize_profile`` (masked array code) vs
+  ``oracles.quantize.quantize_profile_loop`` bit for bit,
 
 across all deadline-carrying generator families, including the two
-adversarial ones, plus randomized (Hypothesis) instances.
+adversarial ones, the benchmark's 64-job traces, plus randomized
+(Hypothesis) instances.
 """
 
 from __future__ import annotations
@@ -29,17 +35,21 @@ from _strategies import (
     releases_strategy,
     works_strategy,
 )
-from repro.core import CUBE, PolynomialPower
+from oracles.bkp import bkp_speed_profile_per_interval, bkp_speed_profile_reference
+from oracles.executor import execute_profile_edf_heap, execute_profile_edf_reference
+from oracles.quantize import quantize_profile_loop
+from repro.core import CUBE, Instance, PolynomialPower
+from repro.discrete import quantize_profile
+from repro.exceptions import InfeasibleError, InvalidInstanceError
 from repro.online import (
     avr_speed_profile,
     avr_speed_profile_reference,
     bkp_speed_profile,
-    bkp_speed_profile_reference,
     execute_profile_edf,
-    execute_profile_edf_reference,
     oa_schedule,
     oa_schedule_incremental,
 )
+from repro.sim import generate_trace, machine_model
 from repro.workloads import (
     deadline_instance,
     nested_interval_instance,
@@ -188,3 +198,182 @@ def test_executor_matches_reference_hypothesis(releases, works, laxities):
         execute_profile_edf(inst, CUBE, profile, work_tolerance=1e-3),
         execute_profile_edf_reference(inst, CUBE, profile, work_tolerance=1e-3),
     )
+
+
+# ----------------------------------------------------------------------
+# bitwise pins: array-native profile, quantiser and executor vs oracles
+# ----------------------------------------------------------------------
+
+#: The sim-replay benchmark's traces: 64 jobs, seed 7000.
+TRACE_FAMILIES = ("day-night", "heavy-tail", "mmpp")
+
+
+def _trace_instance(family: str) -> Instance:
+    return generate_trace(family, 64, seed=7000).to_instance()
+
+
+def _assert_schedules_identical(fast, slow):
+    """Same pieces, same columns, same derived figures -- compared with ``==``."""
+    assert fast.pieces == slow.pieces
+    for got, want in zip(fast.columns, slow.columns):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert fast.energy == slow.energy
+    assert np.array_equal(fast.speeds, slow.speeds, equal_nan=True)
+    assert np.array_equal(fast.completion_times, slow.completion_times)
+
+
+def _assert_bkp_path_identical(inst, steps=64):
+    profile = bkp_speed_profile(inst, steps_per_interval=steps)
+    oracle = bkp_speed_profile_per_interval(inst, steps_per_interval=steps)
+    assert profile.shape == (len(oracle), 3)
+    assert np.array_equal(profile, np.array(oracle))
+    _assert_schedules_identical(
+        execute_profile_edf(inst, CUBE, profile, work_tolerance=1e-3),
+        execute_profile_edf_heap(inst, CUBE, oracle, work_tolerance=1e-3),
+    )
+    return profile
+
+
+@pytest.mark.parametrize("family", TRACE_FAMILIES)
+def test_bkp_path_bitwise_on_benchmark_traces(family):
+    profile = _assert_bkp_path_identical(_trace_instance(family))
+    assert len(profile) > 4000
+
+
+@pytest.mark.parametrize("n_jobs", [16, 32, 64])
+def test_bkp_path_bitwise_on_deadline_instances(n_jobs):
+    for seed in range(2):
+        _assert_bkp_path_identical(deadline_instance(n_jobs, seed=seed, laxity=2.5))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_bkp_path_bitwise_at_coarse_grids(family):
+    for steps in (1, 3, 8):
+        for seed in range(2):
+            _assert_bkp_path_identical(FAMILIES[family](9, seed), steps=steps)
+
+
+def test_executor_bitwise_on_avr_profiles_with_negative_idle_speeds():
+    instances = [deadline_instance(n, seed=s, laxity=2.5) for n in (16, 32, 64) for s in range(2)]
+    instances += [_trace_instance(family) for family in TRACE_FAMILIES]
+    negative = 0
+    for inst in instances:
+        profile = avr_speed_profile(inst)
+        negative += sum(-1e-15 < speed < 0.0 for _, _, speed in profile)
+        _assert_schedules_identical(
+            execute_profile_edf(inst, CUBE, profile),
+            execute_profile_edf_heap(inst, CUBE, profile),
+        )
+    # AVR's density sums leave -1e-16-sized idle speeds; they must be covered
+    assert negative > 0
+
+
+def _quantised_with_tail(profile, machine_name):
+    """The sim engine's profile on a ladder machine: quantised, plus a tail."""
+    machine = machine_model(machine_name)
+    pq = quantize_profile(profile, machine.levels, machine.quantization)
+    segments, clamped, slowed, deficit = quantize_profile_loop(
+        [tuple(row) for row in np.asarray(profile).tolist()],
+        machine.levels,
+        machine.quantization,
+    )
+    assert pq.segments == segments
+    assert np.array_equal(pq.profile, np.array(segments).reshape(-1, 3))
+    assert (pq.clamped_segments, pq.slowed_segments) == (clamped, slowed)
+    assert pq.deficit_work == deficit
+    rows = list(segments)
+    if deficit > 0:
+        last_end = max(end for _, end, _ in rows)
+        rows.append((last_end, last_end + deficit / machine.levels.max_speed * 1.001 + 1e-9,
+                     machine.levels.max_speed))
+    return rows
+
+
+@pytest.mark.parametrize("machine_name", ["athlon64", "athlon64-nearest"])
+@pytest.mark.parametrize("family", TRACE_FAMILIES)
+def test_quantised_bkp_profiles_bitwise(machine_name, family):
+    inst = _trace_instance(family)
+    rows = _quantised_with_tail(bkp_speed_profile(inst), machine_name)
+    speeds = np.array(rows)[:, 2]
+    assert np.any(speeds == 0.0)  # idle remainders of sub-minimum slices
+    table = np.array(rows)
+    _assert_schedules_identical(
+        execute_profile_edf(inst, CUBE, table, work_tolerance=1e-3),
+        execute_profile_edf_heap(inst, CUBE, rows, work_tolerance=1e-3),
+    )
+
+
+def test_quantised_profiles_exercise_the_max_speed_tail():
+    tails = 0
+    for family in TRACE_FAMILIES:
+        inst = _trace_instance(family)
+        for machine_name in ("athlon64", "athlon64-nearest"):
+            for profile in (bkp_speed_profile(inst), avr_speed_profile(inst)):
+                rows = _quantised_with_tail(profile, machine_name)
+                tails += rows[-1][2] == machine_model(machine_name).levels.max_speed
+                _assert_schedules_identical(
+                    execute_profile_edf(inst, CUBE, np.array(rows), work_tolerance=1e-3),
+                    execute_profile_edf_heap(inst, CUBE, rows, work_tolerance=1e-3),
+                )
+    assert tails > 0
+
+
+def _irregular(profile, rng):
+    """Shuffled rows, dropped rows (gaps) and sub-1e-15 slivers split off."""
+    rows = [tuple(row) for row in np.asarray(profile).tolist()]
+    out = []
+    for k, (a, b, s) in enumerate(rows):
+        if k % 11 == 5:
+            continue  # a gap
+        if k % 7 == 3:
+            sliver = float(np.nextafter(a, np.inf))
+            out.append((a, sliver, s))
+            out.append((sliver, b, s))
+            continue
+        out.append((a, b, s))
+    order = rng.permutation(len(out))
+    return [out[i] for i in order]
+
+
+@pytest.mark.parametrize("family", TRACE_FAMILIES)
+def test_executor_bitwise_on_unsorted_gapped_sliver_profiles(family):
+    rng = np.random.default_rng(3)
+    inst = _trace_instance(family)
+    profile = bkp_speed_profile(inst)
+    # stretch the speeds so the gaps still leave a feasible profile
+    profile[:, 2] *= 4.0
+    rows = _irregular(profile, rng)
+    assert any(0.0 < b - a < 1e-15 for a, b, _ in rows)
+    _assert_schedules_identical(
+        execute_profile_edf(inst, CUBE, np.array(rows), work_tolerance=1e-3),
+        execute_profile_edf_heap(inst, CUBE, rows, work_tolerance=1e-3),
+    )
+    _assert_schedules_identical(
+        execute_profile_edf(inst, CUBE, rows, work_tolerance=1e-3),
+        execute_profile_edf_heap(inst, CUBE, rows, work_tolerance=1e-3),
+    )
+
+
+def test_executor_overlap_error_matches_oracle():
+    inst = _trace_instance("mmpp")
+    rows = [tuple(row) for row in bkp_speed_profile(inst).tolist()]
+    a, b, s = rows[40]
+    rows[40] = (a, b + 0.5 * (rows[41][1] - rows[41][0]), s)
+    with pytest.raises(InvalidInstanceError, match="overlap"):
+        execute_profile_edf_heap(inst, CUBE, rows, work_tolerance=1e-3)
+    with pytest.raises(InvalidInstanceError, match="overlap"):
+        execute_profile_edf(inst, CUBE, np.array(rows), work_tolerance=1e-3)
+
+
+def test_executor_unfinished_work_names_the_oracles_jobs():
+    inst = _trace_instance("day-night")
+    profile = bkp_speed_profile(inst)
+    profile[:, 2] *= 0.1  # BKP's e-fold headroom survives halving
+    with pytest.raises(InfeasibleError) as oracle:
+        execute_profile_edf_heap(inst, CUBE, [tuple(r) for r in profile.tolist()],
+                                 work_tolerance=1e-3)
+    with pytest.raises(InfeasibleError) as fast:
+        execute_profile_edf(inst, CUBE, profile, work_tolerance=1e-3)
+    assert str(fast.value) == str(oracle.value)
+    assert "jobs [" in str(fast.value)

@@ -149,3 +149,71 @@ class TestValidation:
     def test_empty_schedule_rejected(self, fig1, cube):
         with pytest.raises(InvalidScheduleError):
             Schedule(fig1, cube, [])
+
+
+class TestFromColumns:
+    """``Schedule.from_columns``: the ``Piece`` rules over whole columns, and
+    a schedule equal bit for bit to the one built from ``Piece`` objects."""
+
+    def test_matches_the_piece_built_schedule_bitwise(self, cube):
+        inst = Instance.from_arrays([0.0, 0.0, 0.5], [1.3, 1.6, 0.4])
+        # unsorted, a preempted job, a start tie, speeds with float noise
+        rows = [
+            (2, 0.5, 1.75, 0.3 + 1e-17),
+            (0, 1.75, 2.0, 2.0 / 3.0),
+            (1, 0.0, 0.5, 1.1),
+            (0, 2.5, 3.25, 0.7),
+            (1, 2.5, 2.75, 1.9),
+        ]
+        built = Schedule(
+            inst, cube,
+            [Piece(job=j, processor=0, start=a, end=b, speed=s) for j, a, b, s in rows],
+        )
+        jobs, starts, ends, speeds = (list(column) for column in zip(*rows))
+        columnar = Schedule.from_columns(inst, cube, jobs, starts, ends, speeds)
+        assert columnar._pieces is None  # nothing built before it is asked for
+        assert columnar.energy == built.energy
+        assert np.array_equal(columnar.speeds, built.speeds)
+        assert np.array_equal(columnar.completion_times, built.completion_times)
+        assert np.array_equal(columnar.start_times, built.start_times)
+        for got, want in zip(columnar.columns, built.columns):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert columnar.n_processors == built.n_processors == 1
+        assert columnar.pieces == built.pieces
+        assert all(type(p.start) is float and type(p.job) is int for p in columnar.pieces)
+
+    @pytest.mark.parametrize(
+        "row, match",
+        [
+            ((-1, 0.0, 1.0, 1.0), "non-negative"),
+            ((0, math.nan, 1.0, 1.0), "finite"),
+            ((0, 0.0, math.inf, 1.0), "finite"),
+            ((0, 1.0, 1.0, 1.0), "positive duration"),
+            ((0, 2.0, 1.0, 1.0), "positive duration"),
+            ((0, 0.0, 1.0, 0.0), "speed"),
+            ((0, 0.0, 1.0, -1.0), "speed"),
+            ((0, 0.0, 1.0, math.inf), "speed"),
+            ((0, 0.0, 1.0, math.nan), "speed"),
+        ],
+    )
+    def test_each_piece_rule_raises(self, cube, row, match):
+        inst = Instance.from_arrays([0.0, 0.0], [1.0, 1.0])
+        good = (1, 0.0, 1.0, 1.0)
+        jobs, starts, ends, speeds = zip(good, row, good)
+        with pytest.raises(InvalidScheduleError, match=match) as columnar:
+            Schedule.from_columns(inst, cube, jobs, starts, ends, speeds)
+        with pytest.raises(InvalidScheduleError) as piece:
+            Piece(job=row[0], processor=0, start=row[1], end=row[2], speed=row[3])
+        assert str(columnar.value) == str(piece.value)
+
+    def test_job_index_out_of_range_raises(self, cube):
+        inst = Instance.from_arrays([0.0, 0.0], [1.0, 1.0])
+        with pytest.raises(InvalidScheduleError, match="only 2 jobs"):
+            Schedule.from_columns(inst, cube, [0, 2], [0.0, 1.0], [1.0, 2.0], [1.0, 1.0])
+
+    def test_empty_and_ragged_columns_raise(self, fig1, cube):
+        with pytest.raises(InvalidScheduleError, match="at least one piece"):
+            Schedule.from_columns(fig1, cube, [], [], [], [])
+        with pytest.raises(InvalidScheduleError, match="same length"):
+            Schedule.from_columns(fig1, cube, [0, 1], [0.0], [1.0], [1.0])

@@ -58,6 +58,10 @@ CLI_CASES: dict[str, list[str]] = {
                      "--families", "deadline,staircase", "--json"],
     "sim.json": ["sim", "--family", "day-night", "--size", "12", "--seed", "0",
                  "--machine", "athlon64", "--json"],
+    # the sim-replay benchmark's mmpp trace: an 8,128-segment BKP profile,
+    # two-level quantisation and a max-speed tail
+    "sim_mmpp64.json": ["sim", "--family", "mmpp", "--size", "64", "--seed", "7000",
+                        "--machine", "athlon64", "--json"],
     "sim_table.txt": ["sim", "--family", "heavy-tail", "--size", "8",
                       "--seed", "1", "--machine", "static-sleep"],
     "compete_machines.json": ["compete", "--machines", "pure,athlon64",
