@@ -9,10 +9,10 @@ Paper artefacts reproduced here:
   irrational; the Galois-group step itself is cited from the paper, see
   README's "Deviations from the paper"),
 * the energy window over which the tight configuration ``C_2 = 1`` is
-  optimal.  The paper states approximately ``(8.43, 11.54)``; our three
-  independent solvers (grid search, convex program, closed-form refinement)
-  agree with the upper end and place the lower end near ``10.3`` -- README's
-  "Deviations from the paper" records this discrepancy.
+  optimal.  The paper states approximately ``(8.43, 11.54)``; bisection on
+  the exact flow solver puts its edges at ``(10.3214557, 11.5419663)``, so
+  the upper end matches and the lower end does not -- README's "Deviations
+  from the paper" records this discrepancy.
 
 The benchmark times the full pipeline (optimality system + flow sweep).
 """
@@ -44,7 +44,7 @@ def _write(name: str, text: str) -> None:
 
 def _regenerate():
     system = solve_optimality_system(THEOREM8_ENERGY_BUDGET)
-    window = tight_configuration_energy_window(resolution=0.05)
+    window = tight_configuration_energy_window(resolution=1e-8)
     budgets = np.linspace(7.0, 13.0, 25)
     sweep = [
         (float(e), equal_work_flow_laptop(theorem8_instance(), theorem8_power(), float(e)))
@@ -67,15 +67,15 @@ def test_thm8_flow_hardness(benchmark):
 
     # measured tight-configuration window: upper end matches the paper (~11.54)
     low, high = window
-    assert high == pytest.approx(11.54, abs=0.25)
-    assert low < high
+    assert low == pytest.approx(10.3214557, abs=1e-7)
+    assert high == pytest.approx(11.5419663, abs=1e-7)
 
     # optimal flow is strictly decreasing in energy across the sweep
     flows = [r.flow for _, r in sweep]
     assert all(b < a for a, b in zip(flows, flows[1:]))
 
     rows = [
-        [energy, result.flow, result.completion_times[1], "yes" if abs(result.completion_times[1] - 1.0) < 5e-3 else "no"]
+        [energy, result.flow, result.completion_times[1], "yes" if abs(result.completion_times[1] - 1.0) <= 1e-12 else "no"]
         for energy, result in sweep
     ]
     text = format_table(
@@ -85,7 +85,7 @@ def test_thm8_flow_hardness(benchmark):
             "Theorem 8 instance: optimal total flow vs energy (unit jobs, r=(0,0,1), alpha=3)\n"
             f"sigma at E=9 (C2=1 branch): ({system.sigma1:.6f}, {system.sigma2:.6f}, {system.sigma3:.6f}); "
             f"polynomial residual {system.polynomial_residual:.2e}\n"
-            f"measured tight-configuration window: ({low:.2f}, {high:.2f}); paper reports (~8.43, ~11.54)"
+            f"measured tight-configuration window: ({low:.7f}, {high:.7f}); paper reports (~8.43, ~11.54)"
         ),
     )
     _write("thm8_flow_hardness.txt", text)

@@ -7,8 +7,9 @@ to pick an operating point from.
 
 Demonstrates:
 
-* the equal-work flow solver (arbitrarily-good approximation, with closed
-  form whenever Theorem 8's hard case does not occur),
+* the equal-work flow solver (exact to rounding: Theorem 1's levels by one
+  isotonic sweep and a root-find on the last job's speed, replaced by the
+  closed form whenever Theorem 8's hard case does not occur),
 * verifying the Theorem 1 speed relations on the computed optimum,
 * the Theorem 8 hard instance itself (why exact closed forms cannot exist).
 
@@ -45,12 +46,12 @@ def main() -> None:
     rows = []
     for energy in budgets:
         result = equal_work_flow_laptop(requests, power, float(energy))
-        holds = verify_theorem1(requests, power, result.speeds, rtol=5e-2)
+        holds = verify_theorem1(requests, power, result.speeds, rtol=1e-9)
         rows.append([
             float(energy),
             result.flow,
             result.flow / requests.n_jobs,
-            "closed form" if result.exact else "convex approx",
+            "closed form" if result.exact else "root-find",
             "yes" if holds else "no",
         ])
     print(format_table(

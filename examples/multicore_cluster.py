@@ -5,7 +5,7 @@ budget (a laptop package power limit, or a rack-level energy cap).  The
 example covers both regimes the paper analyses:
 
 * equal-work jobs -- the cyclic assignment of Theorem 10 is provably optimal;
-  we solve makespan exactly and total flow to arbitrary precision, and show
+  we solve makespan exactly and total flow exactly to rounding, and show
   the structural facts (all cores finish together; the last job on every core
   runs at the same speed),
 * unequal-work jobs released together -- the NP-hard regime of Theorem 11; we

@@ -113,25 +113,57 @@ class PowerFunction(ABC):
         return self.speed_for_energy_per_work(energy / work)
 
     def denergy_dduration(self, work: float, duration: float) -> float:
-        """Derivative of :meth:`energy_for_duration` with respect to the duration.
-
-        Used by the convex-programming reference solvers to supply analytic
-        constraint gradients.  The default implementation is a central finite
-        difference; concrete power functions with closed forms override it.
-        """
+        """Derivative of :meth:`energy_for_duration` with respect to the duration."""
         if work <= 0.0:
             raise BudgetError(f"work must be > 0, got {work}")
         if duration <= 0.0:
             raise BudgetError(f"duration must be > 0, got {duration}")
-        h = duration * 1e-6
-        return (
-            self.energy_for_duration(work, duration + h)
-            - self.energy_for_duration(work, duration - h)
-        ) / (2.0 * h)
+        return -self.marginal_energy(work / duration)
 
     def duration_for_energy(self, work: float, energy: float) -> float:
         """Duration taken by ``work`` units when given exactly ``energy``."""
         return work / self.speed_for_energy(work, energy)
+
+    def marginal_energy(self, speed: float) -> float:
+        """``h(s) = s * P'(s) - P(s)``: the energy a job running at ``speed``
+        saves per unit of time it is lengthened by.
+
+        Zero at the critical speed and increasing above it.  Theorem 1's
+        speed relations are statements about ``h`` (``(alpha - 1) * s**alpha``
+        for ``P = s**alpha``), which is how the exact flow solvers handle any
+        power function.  The default differentiates :meth:`power` by a
+        fourth-order central difference.
+        """
+        step = 1e-3 * speed
+        p = self.power
+        slope = (
+            8.0 * (p(speed + step) - p(speed - step))
+            - (p(speed + 2.0 * step) - p(speed - 2.0 * step))
+        ) / (12.0 * step)
+        return speed * slope - p(speed)
+
+    def speed_for_marginal_energy(self, marginal: float) -> float:
+        """Inverse of :meth:`marginal_energy` on speeds above the critical speed.
+
+        The default brackets the speed by doubling and halving, then runs
+        Brent's method.
+        """
+        if marginal <= 0.0:
+            raise BudgetError(f"marginal energy must be > 0, got {marginal}")
+
+        def residual(speed: float) -> float:
+            return self.marginal_energy(speed) - marginal
+
+        lo = hi = 1.0
+        while residual(hi) < 0.0:
+            hi *= 2.0
+            if hi > 1e150:
+                raise BudgetError("marginal energy too large to invert")
+        while residual(lo) > 0.0:
+            lo /= 2.0
+            if lo < 1e-150:
+                raise BudgetError("marginal energy too small to invert")
+        return float(optimize.brentq(residual, lo, hi, xtol=1e-300, rtol=1e-15))
 
     # -- introspection ---------------------------------------------------
     @property
@@ -187,13 +219,13 @@ class PolynomialPower(PowerFunction):
             )
         return float(energy_per_work) ** (1.0 / (self.exponent - 1.0))
 
-    def denergy_dduration(self, work: float, duration: float) -> float:
-        if work <= 0.0:
-            raise BudgetError(f"work must be > 0, got {work}")
-        if duration <= 0.0:
-            raise BudgetError(f"duration must be > 0, got {duration}")
-        # energy(d) = w**alpha * d**(1 - alpha)
-        return (1.0 - self.exponent) * work**self.exponent * duration**(-self.exponent)
+    def marginal_energy(self, speed: float) -> float:
+        return (self.exponent - 1.0) * float(speed) ** self.exponent
+
+    def speed_for_marginal_energy(self, marginal: float) -> float:
+        if marginal <= 0.0:
+            raise BudgetError(f"marginal energy must be > 0, got {marginal}")
+        return (float(marginal) / (self.exponent - 1.0)) ** (1.0 / self.exponent)
 
     @property
     def is_polynomial(self) -> bool:
@@ -294,6 +326,20 @@ class AffinePolynomialPower(PowerFunction):
         if residual(lo_bracket) > 0.0:
             return lo_bracket
         return float(optimize.brentq(residual, lo_bracket, hi, xtol=1e-14, rtol=1e-14))
+
+    def marginal_energy(self, speed: float) -> float:
+        # s * P'(s) - P(s) = c * (alpha - 1) * s**alpha - static
+        return (
+            self.coefficient * (self.exponent - 1.0) * float(speed) ** self.exponent
+            - self.static
+        )
+
+    def speed_for_marginal_energy(self, marginal: float) -> float:
+        if marginal <= 0.0:
+            raise BudgetError(f"marginal energy must be > 0, got {marginal}")
+        return (
+            (float(marginal) + self.static) / (self.coefficient * (self.exponent - 1.0))
+        ) ** (1.0 / self.exponent)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

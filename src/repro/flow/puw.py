@@ -4,16 +4,17 @@ This module extends the Pruhs-Uthaisombut-Woeginger approach exactly as the
 paper uses it:
 
 * :func:`equal_work_flow_laptop` -- minimise total flow for an energy budget.
-  The convex solver of :mod:`repro.flow.convex` provides an arbitrarily-good
-  approximation; when the optimal configuration contains no ``C_i = r_{i+1}``
-  boundary (Theorem 1's third relation does not occur), the solution is
-  *refined to closed form*: Theorem 1 pins every speed to a multiple of the
-  final job's speed, and the energy budget then determines that speed
-  analytically.  When a tight boundary does occur, Theorem 8 says no closed
-  form exists and the approximation is returned as-is (flagged via
-  ``exact=False``).
-* :func:`equal_work_flow_server` -- minimise energy for a flow target, by the
-  monotone inversion of the laptop problem (the paper's "server problem").
+  The isotonic sweep of :mod:`repro.flow.convex` finds the optimum to
+  rounding, through a root-find on the last job's speed; when the optimal
+  configuration contains no ``C_i = r_{i+1}`` boundary (Theorem 1's third
+  relation does not occur), the solution is *refined to closed form*:
+  Theorem 1 pins every speed to a multiple of the final job's speed, and the
+  energy budget then determines that speed analytically.  When a tight
+  boundary does occur, Theorem 8 says no closed form exists and the
+  root-find's answer is returned (flagged via ``exact=False``).
+* :func:`equal_work_flow_server` -- minimise energy for a flow target (the
+  paper's "server problem"): the same sweep inverts the flow curve directly,
+  and the closed form finishes tight-free configurations.
 * :func:`flow_energy_frontier_samples` -- sample the flow/energy trade-off
   curve (the flow analogue of Figure 1, which the prior work plots with gaps
   at the tight configurations).
@@ -21,17 +22,15 @@ paper uses it:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from ..core.job import Instance
 from ..core.power import PowerFunction
 from ..core.schedule import Schedule
-from ..exceptions import BudgetError, InfeasibleError, InvalidInstanceError
-from .convex import ConvexFlowResult, convex_flow_laptop
+from ..exceptions import InvalidInstanceError
+from .convex import ConvexFlowResult, convex_flow_laptop, convex_flow_server
 from .structure import (
     Boundary,
     FlowConfiguration,
@@ -42,6 +41,10 @@ from .structure import (
 
 __all__ = ["FlowResult", "equal_work_flow_laptop", "equal_work_flow_server", "flow_energy_frontier_samples"]
 
+#: Boundaries within this distance of the next release count as tight, so the
+#: closed form is not claimed for them (``check_flow_structure`` uses the same).
+_BOUNDARY_ATOL = 1e-5
+
 
 @dataclass(frozen=True)
 class FlowResult:
@@ -49,8 +52,7 @@ class FlowResult:
 
     ``exact`` records whether the closed-form refinement applied (no tight
     boundary in the optimal configuration); when ``False`` the values come
-    from the convex approximation, whose accuracy is controlled by the
-    caller's tolerance.
+    from the root-find on the last job's speed, exact to rounding.
     """
 
     flow: float
@@ -68,45 +70,44 @@ def equal_work_flow_laptop(
     instance: Instance,
     power: PowerFunction,
     energy_budget: float,
-    boundary_atol: float = 1e-5,
+    boundary_atol: float = _BOUNDARY_ATOL,
 ) -> FlowResult:
     """Minimise total flow of equal-work jobs on one processor for a budget.
 
     Parameters
     ----------
     boundary_atol:
-        Tolerance used to decide whether the convex solution has a tight
-        boundary (``C_i == r_{i+1}``).  Boundaries closer than this are
-        treated as tight and the closed-form refinement is skipped.
+        Tolerance used to decide whether the solution has a tight boundary
+        (``C_i == r_{i+1}``).  Boundaries closer than this are treated as
+        tight and the closed-form refinement is skipped.
     """
     if not instance.is_equal_work():
         raise InvalidInstanceError(
             "equal_work_flow_laptop requires an equal-work instance; "
             "use repro.flow.convex for fixed-order unequal-work scheduling"
         )
-    if energy_budget <= 0.0 or not math.isfinite(energy_budget):
-        raise BudgetError(f"energy budget must be finite and > 0, got {energy_budget}")
+    swept = convex_flow_laptop(instance, power, energy_budget)
+    return _finish(instance, power, swept, energy_budget, boundary_atol)
 
-    approx = convex_flow_laptop(instance, power, energy_budget)
-    config = classify_boundaries(instance, approx.speeds, atol=boundary_atol)
 
-    if config.has_tight_boundary or not power.is_polynomial:
-        return FlowResult(
-            flow=approx.flow,
-            energy=approx.energy,
-            speeds=approx.speeds,
-            completion_times=approx.completion_times,
-            configuration=config,
-            exact=False,
-        )
-
-    refined = _refine_closed_form(instance, power, config, energy_budget)
+def _finish(
+    instance: Instance,
+    power: PowerFunction,
+    swept: ConvexFlowResult,
+    energy_budget: float,
+    boundary_atol: float,
+) -> FlowResult:
+    """The closed form for ``energy_budget`` where it applies, else ``swept``."""
+    config = classify_boundaries(instance, swept.speeds, atol=boundary_atol)
+    refined = None
+    if not config.has_tight_boundary and power.is_polynomial:
+        refined = _refine_closed_form(instance, power, config, energy_budget)
     if refined is None:
         return FlowResult(
-            flow=approx.flow,
-            energy=approx.energy,
-            speeds=approx.speeds,
-            completion_times=approx.completion_times,
+            flow=swept.flow,
+            energy=swept.energy,
+            speeds=swept.speeds,
+            completion_times=swept.completion_times,
             configuration=config,
             exact=False,
         )
@@ -138,8 +139,8 @@ def _refine_closed_form(
 
     so ``sigma_n`` has a closed form.  The refinement is only kept when the
     resulting schedule reproduces the configuration it was derived from
-    (otherwise the configuration guess from the approximation was wrong near
-    a transition and the caller falls back to the approximation).
+    (otherwise the configuration read off the root-find's speeds was wrong
+    near a transition and the caller keeps those speeds).
     """
     alpha = power.alpha
     work = float(instance.works[0])
@@ -160,33 +161,12 @@ def equal_work_flow_server(
     instance: Instance,
     power: PowerFunction,
     flow_target: float,
-    tol: float = 1e-9,
 ) -> FlowResult:
     """Minimise energy such that the optimal total flow is at most ``flow_target``."""
     if not instance.is_equal_work():
         raise InvalidInstanceError("equal_work_flow_server requires an equal-work instance")
-    lower = _flow_infimum(instance)
-    if flow_target <= lower:
-        raise InfeasibleError(
-            f"flow target {flow_target:g} is at or below the infinite-speed lower "
-            f"bound {lower:g}"
-        )
-
-    def flow_at(energy: float) -> float:
-        return equal_work_flow_laptop(instance, power, energy).flow
-
-    hi = 1.0
-    while flow_at(hi) > flow_target:
-        hi *= 4.0
-        if hi > 1e12:
-            raise InfeasibleError(f"flow target {flow_target:g} unreachable")
-    lo = hi / 2.0
-    while lo > 1e-9 and flow_at(lo) < flow_target:
-        lo /= 2.0
-    energy = float(
-        optimize.brentq(lambda e: flow_at(e) - flow_target, lo, hi, xtol=tol, rtol=1e-12)
-    )
-    return equal_work_flow_laptop(instance, power, energy)
+    swept = convex_flow_server(instance, power, flow_target)
+    return _finish(instance, power, swept, swept.energy, _BOUNDARY_ATOL)
 
 
 def flow_energy_frontier_samples(
@@ -197,7 +177,3 @@ def flow_energy_frontier_samples(
     """Evaluate the optimal flow at each energy budget (the flow trade-off curve)."""
     return [equal_work_flow_laptop(instance, power, float(e)) for e in energies]
 
-
-def _flow_infimum(instance: Instance) -> float:
-    completions_lower = np.maximum.accumulate(instance.releases)
-    return float(np.sum(completions_lower - instance.releases))

@@ -39,11 +39,13 @@ def register_solvers(registry) -> None:
         SolverCapabilities(
             name="flow",
             spec=ProblemSpec(objective="flow", mode="laptop"),
-            summary="minimum total flow for an energy budget (equal-work jobs)",
+            summary="minimum total flow for an energy budget (equal-work jobs; "
+                    "exact isotonic sweep on Theorem 1's levels)",
             budget_kind="energy",
             batchable=True,
-            # not needs_polynomial_power: puw falls back to the convex
-            # approximation for non-polynomial power functions
+            # not needs_polynomial_power: the sweep handles any power function
+            # through its marginal energy; only the closed-form finish needs
+            # power = speed**alpha
             needs_equal_work=True,
             certificates=("budget-tightness", "flow-structure"),
         ),
@@ -53,7 +55,8 @@ def register_solvers(registry) -> None:
         SolverCapabilities(
             name="flow-server",
             spec=ProblemSpec(objective="flow", mode="server"),
-            summary="minimum energy for a total-flow target (equal-work jobs)",
+            summary="minimum energy for a total-flow target (equal-work jobs; "
+                    "exact isotonic sweep on Theorem 1's levels)",
             budget_kind="metric",
             batchable=True,
             needs_equal_work=True,

@@ -14,8 +14,8 @@ This module provides:
   (``EARLY`` / ``LATE`` / ``TIGHT``) extracted from a schedule,
 * :func:`classify_boundaries` -- build the configuration from speeds,
 * :func:`verify_theorem1` -- check a candidate optimal schedule against the
-  three relations (used by the tests as an optimality certificate for the
-  convex solver's output),
+  three relations (the optimality certificate ``repro.verify`` checks the
+  flow solvers' output against),
 * :func:`closed_form_speeds` -- the closed-form speed vector implied by a
   configuration with no ``TIGHT`` boundaries, parameterised by the final
   job's speed ``sigma_n`` (this is what makes the exact trade-off computable

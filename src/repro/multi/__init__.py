@@ -3,9 +3,10 @@
 * :mod:`~repro.multi.cyclic` -- Theorem 10's cyclic assignment for equal-work
   jobs under symmetric non-decreasing metrics.
 * :mod:`~repro.multi.assigned` -- optimal speeds for a *fixed* assignment:
-  common-finish-time makespan and joint convex flow.
+  common-finish-time makespan, and flow by one isotonic sweep over every
+  processor with a common last-job speed.
 * :mod:`~repro.multi.makespan_equal` / :mod:`~repro.multi.flow_equal` -- the
-  paper's exact equal-work makespan and arbitrarily-good equal-work flow.
+  paper's exact equal-work makespan and equal-work flow.
 * :mod:`~repro.multi.hardness` -- the Theorem 11 reduction from Partition.
 * :mod:`~repro.multi.exact` -- exponential-time exact solvers (certificates).
 * :mod:`~repro.multi.heuristics` / :mod:`~repro.multi.ptas` -- LPT/greedy

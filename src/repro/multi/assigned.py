@@ -12,9 +12,9 @@ arguments in the paper) are:
   energies, each of which comes from the uniprocessor frontier.  Solving
   ``sum_p E_p(T) = E`` for ``T`` (the total is continuous and strictly
   decreasing in ``T``) gives the optimal makespan for an energy budget.
-* **Total flow**: every processor's *last* job runs at the same speed; the
-  joint problem is still convex once per-processor job orders are fixed, and
-  is solved here as one convex program over all processors.
+* **Total flow**: every processor's *last* job runs at the same speed; with
+  per-processor job orders fixed, that one speed and Theorem 1 determine
+  every other speed, so one root-find on it solves all processors at once.
 
 Both solvers work for arbitrary (not just equal-work) jobs -- it is finding
 the *assignment* that is NP-hard in general (Theorem 11).  The equal-work
@@ -35,7 +35,8 @@ from ..core.job import Instance
 from ..core.pareto import TradeoffCurve
 from ..core.power import PowerFunction
 from ..core.schedule import Schedule
-from ..exceptions import BudgetError, ConvergenceError, InfeasibleError, InvalidInstanceError
+from ..exceptions import BudgetError, InfeasibleError
+from ..flow.convex import release_order_flow
 from ..makespan.frontier import makespan_frontier
 from .cyclic import assignment_to_subinstances
 
@@ -186,119 +187,25 @@ def flow_for_assignment(
     power: PowerFunction,
     assignment: dict[int, list[int]],
     energy_budget: float,
-    tol: float = 1e-12,
-    max_iterations: int = 2000,
 ) -> AssignedFlowResult:
     """Minimise total flow for a fixed assignment under a shared energy budget.
 
-    One convex program over all processors: per-job durations and start
-    times, precedence constraints along each processor's chain, one shared
-    energy constraint.  This is the multiprocessor extension of
-    :func:`repro.flow.convex.convex_flow_laptop` and provides the
-    arbitrarily-good approximation of Section 5 for any fixed assignment.
+    Each processor runs its jobs in release order.  At the optimum every
+    processor's last job runs at the same speed (Section 5), so the isotonic
+    sweep of :mod:`repro.flow.convex` solves all processors at once: it fixes
+    that common speed, finds every other speed from Theorem 1, and
+    root-finds the common speed that spends the budget.  This is the
+    arbitrarily-good algorithm of Section 5 for any fixed assignment, exact
+    to rounding.
     """
-    if energy_budget <= 0.0 or not math.isfinite(energy_budget):
-        raise BudgetError(f"energy budget must be finite and > 0, got {energy_budget}")
-    subs = assignment_to_subinstances(instance, assignment)  # validates the assignment
-    n = instance.n_jobs
-    releases = instance.releases
-    works = instance.works
-
-    uniform_speed = power.speed_for_energy(instance.total_work, energy_budget)
-    d_scale = works / uniform_speed
-    flow_scale = max(1.0, float(np.sum(d_scale)))
-
-    def split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return x[:n] * d_scale, x[n:] + releases
-
-    def total_energy(durations: np.ndarray) -> float:
-        return float(
-            sum(power.energy_for_duration(w, d) for w, d in zip(works, durations))
-        )
-
-    def objective(x: np.ndarray) -> float:
-        d, s = split(x)
-        return float(np.sum(s + d - releases)) / flow_scale
-
-    def objective_grad(x: np.ndarray) -> np.ndarray:
-        return np.concatenate([d_scale, np.ones(n)]) / flow_scale
-
-    def energy_constraint(x: np.ndarray) -> float:
-        d, _ = split(x)
-        return (energy_budget - total_energy(d)) / energy_budget
-
-    def energy_constraint_jac(x: np.ndarray) -> np.ndarray:
-        d, _ = split(x)
-        grad_d = np.array([-power.denergy_dduration(w, di) for w, di in zip(works, d)])
-        return np.concatenate([grad_d * d_scale, np.zeros(n)]) / energy_budget
-
-    constraints: list[dict] = [
-        {"type": "ineq", "fun": energy_constraint, "jac": energy_constraint_jac}
-    ]
-    for proc, jobs in assignment.items():
-        ordered = sorted(jobs)
-        for prev, cur in zip(ordered, ordered[1:]):
-            a = np.zeros(2 * n)
-            a[n + cur] = 1.0
-            a[n + prev] = -1.0
-            a[prev] = -d_scale[prev]
-            offset = releases[cur] - releases[prev]
-            constraints.append(
-                {
-                    "type": "ineq",
-                    "fun": (lambda x, a=a, c=offset: float(a @ x) + c),
-                    "jac": (lambda x, a=a: a),
-                }
-            )
-
-    bounds = [(1e-9, None)] * n + [(0.0, None)] * n
-
-    u0 = np.full(n, 1.001)
-    s_offsets = np.zeros(n)
-    for proc, jobs in assignment.items():
-        clock = -math.inf
-        for j in sorted(jobs):
-            start = max(clock, releases[j])
-            s_offsets[j] = start - releases[j]
-            clock = start + u0[j] * d_scale[j]
-    x0 = np.concatenate([u0, s_offsets])
-
-    def run(x_init: np.ndarray, ftol: float) -> optimize.OptimizeResult:
-        return optimize.minimize(
-            objective,
-            x_init,
-            jac=objective_grad,
-            method="SLSQP",
-            bounds=bounds,
-            constraints=constraints,
-            options={"maxiter": max_iterations, "ftol": ftol},
-        )
-
-    result = run(x0, tol)
-    if not result.success:
-        for slack, ftol in ((1.05, tol), (1.25, max(tol, 1e-10)), (2.0, max(tol, 1e-9))):
-            x_retry = np.concatenate([np.full(n, slack), s_offsets])
-            result = run(x_retry, ftol)
-            if result.success:
-                break
-    if not result.success:
-        raise ConvergenceError(f"SLSQP failed on the multiprocessor flow problem: {result.message}")
-
-    d, s = split(np.asarray(result.x, dtype=float))
-    speeds = works / d
-    # repack each processor as-early-as-possible to remove solver slack
-    completions = np.empty(n)
-    for proc, jobs in assignment.items():
-        clock = -math.inf
-        for j in sorted(jobs):
-            start = max(clock, releases[j])
-            clock = start + d[j]
-            completions[j] = clock
-    flow = float(np.sum(completions - releases))
+    assignment_to_subinstances(instance, assignment)  # validates the assignment
+    result = release_order_flow(
+        instance, power, list(assignment.values()), energy_budget=energy_budget
+    )
     return AssignedFlowResult(
-        flow=flow,
-        energy=total_energy(d),
+        flow=result.flow,
+        energy=result.energy,
         assignment={p: list(jobs) for p, jobs in assignment.items() if jobs},
-        speeds=speeds,
-        completion_times=completions,
+        speeds=result.speeds,
+        completion_times=result.completion_times,
     )

@@ -1,9 +1,10 @@
-"""Arbitrarily-good multiprocessor total flow for equal-work jobs (Section 5).
+"""Multiprocessor total flow for equal-work jobs (Section 5).
 
 Combines Theorem 10 (cyclic assignment is optimal for total flow, which is
-symmetric and non-decreasing) with the fixed-assignment convex solver of
-:mod:`repro.multi.assigned`.  The paper's observation that in a non-dominated
-schedule every processor's *last* job runs at the same speed is exposed as
+symmetric and non-decreasing) with the fixed-assignment solver of
+:mod:`repro.multi.assigned`, exact to rounding.  The paper's observation that
+in a non-dominated schedule every processor's *last* job runs at the same
+speed -- the one speed that solver root-finds -- is exposed as
 :func:`last_job_speeds` so tests can verify it on the solver's output.
 """
 
@@ -43,7 +44,7 @@ def multiprocessor_flow_schedule(
     n_processors: int,
     energy_budget: float,
 ) -> Schedule:
-    """Materialised (approximately) optimal multiprocessor flow schedule."""
+    """Materialised optimal multiprocessor flow schedule."""
     result = multiprocessor_flow_equal_work(instance, power, n_processors, energy_budget)
     return result.schedule(instance, power)
 
@@ -53,7 +54,7 @@ def last_job_speeds(result: AssignedFlowResult) -> np.ndarray:
 
     The paper's structural observation for non-dominated multiprocessor flow
     schedules is that these are all equal; tests assert this on the solver
-    output (within solver tolerance).
+    output.
     """
     speeds = []
     for proc in sorted(result.assignment):

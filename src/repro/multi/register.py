@@ -161,7 +161,8 @@ def register_solvers(registry) -> None:
             name="multi-flow",
             spec=ProblemSpec(objective="flow", mode="laptop", machine="multi"),
             summary="equal-work multiprocessor total flow for a shared energy budget "
-                    "(cyclic assignment, Theorem 10)",
+                    "(cyclic assignment, Theorem 10; exact isotonic sweep on a "
+                    "common last-job speed)",
             budget_kind="energy",
             needs_equal_work=True,
             certificates=("budget-tightness", "cyclic-assignment"),

@@ -101,9 +101,7 @@ def check_budget_tightness(ctx: VerificationContext) -> list[Finding]:
     budget = ctx.request.budget
     if budget is None:
         return _skipped("budget-tightness", "request carries no budget")
-    # the flow cells go through the convex solver, whose accuracy is looser
-    # than the closed-form makespan machinery
-    tol = 1e-3 if caps.objective == "flow" else 1e-6
+    tol = 1e-6
 
     if caps.budget_kind == "energy":
         energy = ctx.result.energy
@@ -408,9 +406,10 @@ def check_flow_structure(ctx: VerificationContext) -> list[Finding]:
         return _skipped(
             "flow-structure", "Theorem 1 is stated for power = speed**alpha"
         )
-    # tolerance calibrated to the convex solver's accuracy (the same 5e-2 the
-    # property suite uses for verify_theorem1 on convex output)
-    if not verify_theorem1(instance, power, speeds, rtol=5e-2, atol=1e-5):
+    # the flow solvers are exact to rounding; atol is equal_work_flow_laptop's
+    # boundary_atol, so a claimed closed form and this check see the same
+    # boundaries
+    if not verify_theorem1(instance, power, speeds, rtol=1e-6, atol=1e-5):
         findings.append(
             Finding(
                 code="theorem1-violated",

@@ -9,7 +9,6 @@ subcommand end to end.
 
 from __future__ import annotations
 
-import importlib.util
 import io
 import json
 from pathlib import Path
@@ -23,20 +22,6 @@ from repro.io import request_to_dict, save_instance, save_instances
 from repro.workloads import equal_work_instance, figure1_instance
 
 GOLDEN = Path(__file__).parent / "golden"
-
-
-def _load_regen_module():
-    spec = importlib.util.spec_from_file_location(
-        "regen_golden", Path(__file__).parent.parent / "tools" / "regen_golden.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-#: The comparison ``tools/regen_golden.py --check`` uses: bytes, or numbers
-#: at the file's declared tolerance.
-golden_matches = _load_regen_module().golden_matches
 
 FIG1 = ["--releases", "0,5,6", "--works", "5,2,1"]
 EQ = ["--releases", "0,1,2", "--works", "2,2,2"]
@@ -71,7 +56,7 @@ class TestGoldenSubcommands:
         assert main(GOLDEN_CASES[name]) == 0
         got = capsys.readouterr().out
         want = (GOLDEN / name).read_text(encoding="utf-8")
-        assert golden_matches(name, got, want)
+        assert got == want
 
     @pytest.mark.slow
     def test_compete_byte_identical(self, capsys):

@@ -46,13 +46,11 @@ def test_script_covers_every_checked_in_golden(captures):
     )
 
 
-def test_script_output_matches_checked_in_goldens(regen, captures):
+def test_script_output_matches_checked_in_goldens(captures):
     stale = [
         name
         for name, text in sorted(captures.items())
-        if not regen.golden_matches(
-            name, text, (GOLDEN / name).read_text(encoding="utf-8")
-        )
+        if text != (GOLDEN / name).read_text(encoding="utf-8")
     ]
     assert not stale, (
         f"golden files out of date: {stale}; run python tools/regen_golden.py"
@@ -68,23 +66,3 @@ def test_verify_smoke_envelopes_pass_verification():
         "--request", str(GOLDEN / "verify_request.json"),
         "--result", str(GOLDEN / "verify_result.json"),
     ]) == 0
-
-
-def test_tolerant_golden_compares_numbers_at_its_declared_tolerance(regen):
-    want = (GOLDEN / "multi_flow.json").read_text(encoding="utf-8")
-    assert regen.GOLDEN_REL_TOL == {"multi_flow.json": 1e-9}
-    # the scipy 1.17.1 answer differs from the golden's in the 12th digit
-    near = want.replace("5.196152422697859", "5.196152422702244")
-    assert near != want and regen.golden_matches("multi_flow.json", near, want)
-    far = want.replace("5.196152422697859", "5.19615")
-    assert not regen.golden_matches("multi_flow.json", far, want)
-    # everything that is not a float must still match exactly
-    renamed = want.replace('"metric": "flow"', '"metric": "makespan"')
-    assert not regen.golden_matches("multi_flow.json", renamed, want)
-    assert not regen.golden_matches("multi_flow.json", "{not json", want)
-
-
-def test_other_goldens_stay_byte_pinned(regen):
-    want = (GOLDEN / "multi_makespan.json").read_text(encoding="utf-8")
-    assert regen.golden_matches("multi_makespan.json", want, want)
-    assert not regen.golden_matches("multi_makespan.json", want + " ", want)

@@ -9,14 +9,8 @@ lands, run::
     python tools/regen_golden.py --check    # exit 1 if anything would change
 
 ``tests/test_regen_golden.py`` runs the same :func:`regenerate` function and
-asserts its output matches the checked-in files, so the script and the
-goldens cannot drift apart.
-
-Every golden is compared byte for byte except those listed in
-:data:`GOLDEN_REL_TOL`, whose numbers come from an iterative optimizer and
-are compared at a declared relative tolerance (:func:`golden_matches`, the
-one comparison the tests and ``--check`` share).  A capture within
-tolerance is not rewritten, so those files keep their bytes.
+asserts its output matches the checked-in files byte for byte, so the script
+and the goldens cannot drift apart.
 """
 
 from __future__ import annotations
@@ -25,7 +19,6 @@ import argparse
 import asyncio
 import io
 import json
-import math
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -69,44 +62,6 @@ CLI_CASES: dict[str, list[str]] = {
                               "--seeds", "1", "--algorithms", "oa,avr",
                               "--json"],
 }
-
-
-#: Goldens whose numbers come from SLSQP (``scipy.optimize``), which moves
-#: their last digits between scipy releases: golden file name -> relative
-#: tolerance for every float in the file.  Everything else in such a file
-#: (keys, key order, strings, integers) must still match exactly.
-GOLDEN_REL_TOL: dict[str, float] = {"multi_flow.json": 1e-9}
-
-
-def _numbers_close(got: object, want: object, rel_tol: float) -> bool:
-    if type(want) is float and type(got) is float:
-        return math.isclose(got, want, rel_tol=rel_tol)
-    if isinstance(want, dict) and isinstance(got, dict):
-        return list(got) == list(want) and all(
-            _numbers_close(got[key], want[key], rel_tol) for key in want
-        )
-    if isinstance(want, list) and isinstance(got, list):
-        return len(got) == len(want) and all(
-            _numbers_close(g, w, rel_tol) for g, w in zip(got, want)
-        )
-    return type(got) is type(want) and got == want
-
-
-def golden_matches(name: str, got: str, want: str) -> bool:
-    """Whether capture ``got`` reproduces the golden file ``name`` (text ``want``).
-
-    Byte equality, except for the files in :data:`GOLDEN_REL_TOL`, which
-    are parsed as JSON and compared float by float at their tolerance.
-    """
-    if got == want:
-        return True
-    rel_tol = GOLDEN_REL_TOL.get(name)
-    if rel_tol is None:
-        return False
-    try:
-        return _numbers_close(json.loads(got), json.loads(want), rel_tol)
-    except json.JSONDecodeError:
-        return False
 
 
 def _capture(argv: list[str]) -> str:
@@ -253,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, text in sorted(captures.items()):
         path = GOLDEN_DIR / name
         current = path.read_text(encoding="utf-8") if path.exists() else None
-        if current is not None and golden_matches(name, text, current):
+        if text == current:
             print(f"  unchanged  {name}")
             continue
         changed.append(name)
