@@ -13,8 +13,8 @@ competitive ratios).  Rebuilt on the online engine v2:
   is timed against the scalar replan-from-scratch reference at n = 500 on
   every deadline family; the adversarial families must show >= 10x,
 * the vectorized AVR/BKP profile builders and the event-driven EDF executor
-  are timed against their scalar references (the BKP and executor
-  references are the oracles in ``tests/oracles/``).
+  are timed against their scalar references (the scalar OA, AVR, BKP and
+  executor references are the oracles in ``tests/oracles/``).
 
 Everything is recorded machine-readably in ``results/BENCH_online.json``
 (plus the human-readable ``results/online_competitive.txt``).
@@ -31,11 +31,9 @@ from repro.analysis import format_table
 from repro.core import CUBE
 from repro.online import (
     avr_speed_profile,
-    avr_speed_profile_reference,
     bkp_speed_profile,
     competitive_sweep,
     execute_profile_edf,
-    oa_schedule,
     oa_schedule_incremental,
 )
 from repro.workloads import (
@@ -47,8 +45,10 @@ from repro.workloads import (
 _TESTS = str(Path(__file__).resolve().parent.parent / "tests")
 if _TESTS not in sys.path:  # the scalar references live with the test oracles
     sys.path.insert(0, _TESTS)
+from oracles.avr import avr_speed_profile_reference  # noqa: E402
 from oracles.bkp import bkp_speed_profile_reference  # noqa: E402
 from oracles.executor import execute_profile_edf_reference  # noqa: E402
+from oracles.oa import oa_schedule  # noqa: E402
 
 RESULTS = Path(__file__).parent / "results"
 

@@ -3,8 +3,9 @@
 The vectorized ``yds_speeds`` finds each critical interval with one 2-D
 prefix-sum/argmax over the release x deadline grid
 (:func:`repro.core.kernels.max_density_interval`); the retained reference
-``yds_speeds_reference`` re-enumerates every pair's member set, which is the
-seed implementation's behaviour (~O(n^4) in practice).  This benchmark
+``yds_speeds_reference`` (the oracle in ``tests/oracles/yds.py``)
+re-enumerates every pair's member set, which is the seed implementation's
+behaviour (~O(n^4) in practice).  This benchmark
 
 * checks the two agree (speeds to 1e-9) on the measured instance,
 * measures both at n in {100, 200, 500} (one reference run each -- the
@@ -28,14 +29,20 @@ regenerated with their batched-kernel sections.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from conftest import best_of as _best_of
 from repro.analysis import format_table
-from repro.online import yds_speeds, yds_speeds_reference
+from repro.online import yds_speeds
 from repro.workloads import deadline_instance
+
+_TESTS = str(Path(__file__).resolve().parent.parent / "tests")
+if _TESTS not in sys.path:  # the scalar reference lives with the test oracles
+    sys.path.insert(0, _TESTS)
+from oracles.yds import yds_speeds_reference  # noqa: E402
 
 RESULTS = Path(__file__).parent / "results"
 

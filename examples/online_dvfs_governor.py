@@ -18,7 +18,7 @@ import numpy as np
 from repro.analysis import format_table
 from repro.core import PolynomialPower
 from repro.discrete import quantize_schedule, uniform_levels
-from repro.online import avr_schedule, bkp_schedule, oa_schedule, yds_schedule
+from repro.online import avr_schedule, bkp_schedule, oa_schedule_incremental, yds_schedule
 from repro.workloads import deadline_instance
 
 
@@ -31,7 +31,7 @@ def main() -> None:
         workload = deadline_instance(10, seed=seed, arrival_rate=1.2, laxity=2.5)
         optimal = yds_schedule(workload, power)
         avr = avr_schedule(workload, power)
-        oa = oa_schedule(workload, power)
+        oa = oa_schedule_incremental(workload, power)
         bkp = bkp_schedule(workload, power, steps_per_interval=32)
         rows.append([
             seed,

@@ -114,8 +114,10 @@ class Instance:
         if not job_list:
             raise InvalidInstanceError("an instance must contain at least one job")
         ordered = sorted(enumerate(job_list), key=lambda t: (t[1].release, t[0]))
+        # jobs are frozen: one that already carries its index is shared as is
         reindexed = tuple(
-            replace(job, index=i) for i, (_, job) in enumerate(ordered)
+            job if job.index == i else replace(job, index=i)
+            for i, (_, job) in enumerate(ordered)
         )
         object.__setattr__(self, "jobs", reindexed)
         object.__setattr__(self, "name", str(name))

@@ -5,10 +5,12 @@ sections lean on the deadline-feasibility model of Yao, Demers and Shenker.
 This subpackage provides:
 
 * :mod:`~repro.online.yds` -- the optimal offline algorithm (used as a
-  baseline/oracle for the makespan server problem and as OA's planner),
+  baseline/oracle for the makespan server problem) and the event-driven EDF
+  executor for per-job speeds (heap steps at releases and completions,
+  columnar schedules) that realises its answers,
 * :mod:`~repro.online.avr` -- Average Rate (vectorised event-grid profile),
-* :mod:`~repro.online.oa` -- Optimal Available (scalar reference plus the
-  incremental prefix-density engine :func:`~repro.online.oa.oa_schedule_incremental`),
+* :mod:`~repro.online.oa` -- Optimal Available, as the incremental
+  prefix-density engine :func:`~repro.online.oa.oa_schedule_incremental`,
 * :mod:`~repro.online.bkp` -- the Bansal-Kimbrel-Pruhs algorithm
   (all intervals' slice grids in one blocked pass on the cumulative work
   grid, returned as an ``(S, 3)`` array),
@@ -24,23 +26,16 @@ benchmark ``bench_online_competitive`` measures their empirical energy ratios
 against YDS and writes ``BENCH_online.json``.
 """
 
-from .avr import avr_schedule, avr_speed_profile, avr_speed_profile_reference
+from .avr import avr_schedule, avr_speed_profile
 from .bkp import bkp_schedule, bkp_speed_profile
 from .compete import ALGORITHMS, FAMILIES, RATIO_BOUNDS, competitive_sweep
 from .executor import execute_profile_edf
-from .oa import oa_schedule, oa_schedule_incremental
-from .yds import (
-    YDSResult,
-    edf_schedule_at_speeds,
-    yds_schedule,
-    yds_speeds,
-    yds_speeds_reference,
-)
+from .oa import oa_schedule_incremental
+from .yds import YDSResult, edf_schedule_at_speeds, yds_schedule, yds_speeds
 
 __all__ = [
     "avr_schedule",
     "avr_speed_profile",
-    "avr_speed_profile_reference",
     "bkp_schedule",
     "bkp_speed_profile",
     "ALGORITHMS",
@@ -48,11 +43,9 @@ __all__ = [
     "RATIO_BOUNDS",
     "competitive_sweep",
     "execute_profile_edf",
-    "oa_schedule",
     "oa_schedule_incremental",
     "YDSResult",
     "edf_schedule_at_speeds",
     "yds_schedule",
     "yds_speeds",
-    "yds_speeds_reference",
 ]

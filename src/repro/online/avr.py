@@ -37,7 +37,6 @@ from .executor import execute_profile_edf
 __all__ = [
     "avr_speed_profile",
     "avr_speed_profiles_batch",
-    "avr_speed_profile_reference",
     "avr_schedule",
 ]
 
@@ -51,8 +50,8 @@ def avr_speed_profile(instance: Instance) -> list[tuple[float, float, float]]:
 
     Built on the :func:`repro.core.kernels.stepwise_rate_profile` event-grid
     kernel (scatter-add of rate deltas + one cumulative sum) instead of one
-    activity scan per segment; pinned to
-    :func:`avr_speed_profile_reference` at 1e-9 by the equivalence suite.
+    activity scan per segment; pinned to the one-scan-per-segment loop in
+    ``tests/oracles/avr.py`` at 1e-9 by the equivalence suite.
     """
     if not instance.has_deadlines():
         raise InvalidInstanceError("AVR requires deadlines on every job")
@@ -104,26 +103,6 @@ def avr_speed_profiles_batch(
             ]
         )
     return profiles
-
-
-def avr_speed_profile_reference(
-    instance: Instance,
-) -> list[tuple[float, float, float]]:
-    """Scalar reference for :func:`avr_speed_profile` (one scan per segment)."""
-    if not instance.has_deadlines():
-        raise InvalidInstanceError("AVR requires deadlines on every job")
-    releases = instance.releases
-    deadlines = instance.deadlines
-    works = instance.works
-    rates = works / (deadlines - releases)
-    events = np.unique(np.concatenate([releases, deadlines]))
-    segments: list[tuple[float, float, float]] = []
-    for start, end in zip(events, events[1:]):
-        mid = 0.5 * (start + end)
-        active = (releases <= mid) & (mid < deadlines)
-        speed = float(np.sum(rates[active]))
-        segments.append((float(start), float(end), speed))
-    return segments
 
 
 def avr_schedule(instance: Instance, power: PowerFunction) -> Schedule:

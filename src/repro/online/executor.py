@@ -68,7 +68,9 @@ def execute_profile_edf(
     Profiles whose segments end at events (AVR) thus keep the scalar step,
     and finely sliced ones (BKP) run in a few NumPy passes.  A stretch with
     nothing pending is skipped up to the next release.  Pieces are kept as
-    columns and the result is built by :meth:`Schedule.from_columns`.
+    columns and the result is built by :meth:`Schedule.from_columns`.  A
+    residual whose finish time rounds to the current time (below the clock's
+    resolution at large absolute times) counts as done.
     """
     if not instance.has_deadlines():
         raise InvalidInstanceError("profile execution requires deadlines (EDF ordering)")
@@ -228,6 +230,10 @@ def execute_profile_edf(
                 break
             job = pending[0][1]
             finish = t + remaining[job] / speed
+            if finish == t:
+                # a residual below the clock's resolution at t: done
+                remaining[job] = 0.0
+                continue
             next_release = releases[next_job] if next_job < n else math.inf
             end = min(finish, next_release, seg_end)
             if end > t + 1e-15:

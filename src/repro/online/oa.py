@@ -7,26 +7,18 @@ policy: whenever a job arrives, recompute the optimal (YDS) schedule for the
 *currently remaining* work assuming no further arrivals, and follow it until
 the next arrival.
 
-Two implementations are provided:
+:func:`oa_schedule_incremental` exploits the fact that every residual
+instance OA plans over is a *common-release* instance (all residual jobs are
+available "now"), for which the YDS plan is just the prefix-density
+staircase (:func:`repro.core.kernels.common_release_prefix_speeds`).  The
+deadline-sorted residual-work arrays are maintained *incrementally* across
+releases — new arrivals are merged in by binary insertion and executed work
+is subtracted in place — so each event costs one O(m) hull pass plus a few
+vector operations instead of a full YDS solve.
 
-* :func:`oa_schedule` -- the scalar reference.  It simulates the policy
-  literally: between consecutive release times it plans with
-  :func:`repro.online.yds.yds_speeds` on a freshly built residual instance
-  and executes the plan's EDF schedule, truncating at the next release.
-  Re-running the general critical-interval YDS per event makes it roughly
-  cubic in the number of jobs.
-* :func:`oa_schedule_incremental` -- the engine used everywhere else.  It
-  exploits the fact that every residual instance OA plans over is a
-  *common-release* instance (all residual jobs are available "now"), for
-  which the YDS plan is just the prefix-density staircase
-  (:func:`repro.core.kernels.common_release_prefix_speeds`).  The
-  deadline-sorted residual-work arrays are maintained *incrementally* across
-  releases — new arrivals are merged in by binary insertion and executed
-  work is subtracted in place — so each event costs one O(m) hull pass plus
-  a few vector operations instead of a full YDS solve.
-
-``tests/test_online_equivalence.py`` pins the two implementations to each
-other at 1e-9 relative energy across all deadline workload families.
+``tests/test_online_equivalence.py`` pins it at 1e-9 relative energy to the
+policy simulated literally (a full YDS plan per arrival, realised by EDF:
+``tests/oracles/oa.py``) across all deadline workload families.
 """
 
 from __future__ import annotations
@@ -35,14 +27,13 @@ import math
 
 import numpy as np
 
-from ..core.job import Instance, Job
+from ..core.job import Instance
 from ..core.kernels import common_release_prefix_speeds
 from ..core.power import PowerFunction
-from ..core.schedule import Piece, Schedule
+from ..core.schedule import Schedule
 from ..exceptions import InfeasibleError, InvalidInstanceError
-from .yds import edf_schedule_at_speeds, yds_speeds
 
-__all__ = ["oa_schedule", "oa_schedule_incremental"]
+__all__ = ["oa_schedule_incremental"]
 
 
 def oa_schedule_incremental(instance: Instance, power: PowerFunction) -> Schedule:
@@ -53,10 +44,9 @@ def oa_schedule_incremental(instance: Instance, power: PowerFunction) -> Schedul
     binary insertion, the plan is recomputed as the upper hull of the
     residual cumulative-work staircase, and the plan is executed (jobs run
     back-to-back in deadline order at their staircase speeds) until the next
-    release, subtracting the executed work in place.
-
-    Produces schedules with the same energy as :func:`oa_schedule` (pinned
-    at 1e-9 relative) at a fraction of the cost.
+    release, subtracting the executed work in place.  Each event's executed
+    pieces are kept as columns, and the result is built by
+    :meth:`Schedule.from_columns`.
     """
     if not instance.has_deadlines():
         raise InvalidInstanceError("OA requires deadlines on every job")
@@ -65,7 +55,11 @@ def oa_schedule_incremental(instance: Instance, power: PowerFunction) -> Schedul
     deadlines = instance.deadlines
     events = sorted(set(float(r) for r in releases))
     remaining = instance.works.astype(float).copy()
-    pieces: list[Piece] = []
+    # executed pieces, kept as columns
+    jobs_col: list[int] = []
+    starts_col: list[float] = []
+    ends_col: list[float] = []
+    speeds_col: list[float] = []
 
     # residual structure: original job indices sorted by deadline; jobs enter
     # at their release event and leave (lazily) once their work is exhausted.
@@ -109,81 +103,22 @@ def oa_schedule_incremental(instance: Instance, power: PowerFunction) -> Schedul
         # execute the plan until the next release (same truncation guards as
         # the scalar reference loop)
         n_exec = int(np.searchsorted(starts, next_event - 1e-15, side="left"))
-        for i in range(n_exec):
-            end = min(float(ends[i]), next_event)
-            start = float(starts[i])
+        for job, start, end, speed in zip(
+            order[:n_exec].tolist(),
+            starts[:n_exec].tolist(),
+            ends[:n_exec].tolist(),
+            speeds[:n_exec].tolist(),
+        ):
+            end = min(end, next_event)
             if end <= start + 1e-15:
                 continue
-            job = int(order[i])
-            speed = float(speeds[i])
             remaining[job] -= speed * (end - start)
-            pieces.append(
-                Piece(job=job, processor=0, start=start, end=end, speed=speed)
-            )
+            jobs_col.append(job)
+            starts_col.append(start)
+            ends_col.append(end)
+            speeds_col.append(speed)
 
     if np.any(remaining > 1e-6 * instance.works):
         bad = [int(i) for i in np.where(remaining > 1e-6 * instance.works)[0]]
         raise InvalidInstanceError(f"OA left unfinished work on jobs {bad}")
-    return Schedule(instance, power, pieces)
-
-
-def oa_schedule(instance: Instance, power: PowerFunction) -> Schedule:
-    """Run the Optimal Available policy and return the resulting schedule."""
-    if not instance.has_deadlines():
-        raise InvalidInstanceError("OA requires deadlines on every job")
-
-    releases = instance.releases
-    events = sorted(set(float(r) for r in releases))
-    remaining = instance.works.astype(float).copy()
-    pieces: list[Piece] = []
-
-    for k, now in enumerate(events):
-        next_event = events[k + 1] if k + 1 < len(events) else math.inf
-        # Build the residual instance: jobs released by `now` with unfinished
-        # work, treated as released at `now` (their original release is in the
-        # past), keeping their deadlines.
-        active = [
-            j
-            for j in range(instance.n_jobs)
-            if releases[j] <= now + 1e-12 and remaining[j] > 1e-12
-        ]
-        if not active:
-            continue
-        residual_jobs = [
-            Job(
-                index=i,
-                release=now,
-                work=float(remaining[j]),
-                deadline=float(instance.deadlines[j]),
-            )
-            for i, j in enumerate(active)
-        ]
-        residual = Instance(residual_jobs, name="oa-residual")
-        plan_speeds = yds_speeds(residual).speeds
-        plan = edf_schedule_at_speeds(residual, power, plan_speeds)
-        # execute the plan until the next release
-        for piece in sorted(plan.pieces, key=lambda p: p.start):
-            if piece.start >= next_event - 1e-15:
-                break
-            end = min(piece.end, next_event)
-            if end <= piece.start + 1e-15:
-                continue
-            original_job = active[piece.job]
-            done = piece.speed * (end - piece.start)
-            remaining[original_job] -= done
-            pieces.append(
-                Piece(
-                    job=original_job,
-                    processor=0,
-                    start=piece.start,
-                    end=end,
-                    speed=piece.speed,
-                )
-            )
-
-    if np.any(remaining > 1e-6 * instance.works):
-        # cannot happen for feasible instances: after the last release the plan
-        # runs to completion unless a deadline has already been violated.
-        bad = [int(i) for i in np.where(remaining > 1e-6 * instance.works)[0]]
-        raise InvalidInstanceError(f"OA left unfinished work on jobs {bad}")
-    return Schedule(instance, power, pieces)
+    return Schedule.from_columns(instance, power, jobs_col, starts_col, ends_col, speeds_col)

@@ -31,21 +31,19 @@ def _run_yds_batch(requests: list[SolveRequest]) -> list[tuple]:
     """Batched YDS: one structure-of-arrays plan pass over the whole chunk.
 
     ``yds_speeds_batch`` computes every instance's optimal per-job speeds in
-    shared padded arrays; the EDF realisation (energy + realised per-job
-    speeds) is then evaluated per instance by ``edf_energy_speeds``, which is
-    bitwise-identical to ``yds_schedule(...).energy`` / ``.speeds``.
+    shared padded arrays; each is then realised by ``edf_schedule_at_speeds``
+    exactly as ``yds_schedule`` realises the per-instance plan, so the
+    energies and speeds are bitwise those of the per-request path.
     """
-    from .yds import edf_energy_speeds, yds_speeds_batch
+    from .yds import edf_schedule_at_speeds, yds_speeds_batch
 
     planned = yds_speeds_batch([request.instance for request in requests])
-    results: list[tuple] = []
-    for b, request in enumerate(requests):
-        n = request.instance.n_jobs
-        energy, job_speeds = edf_energy_speeds(
-            request.instance, request.power, planned[b, :n]
-        )
-        results.append((energy, energy, job_speeds, {}))
-    return results
+    return [
+        _energy_result(edf_schedule_at_speeds(
+            request.instance, request.power, planned[b, : request.instance.n_jobs]
+        ))
+        for b, request in enumerate(requests)
+    ]
 
 
 def _run_avr_batch(requests: list[SolveRequest]) -> list[tuple]:

@@ -18,19 +18,19 @@ Algorithm (classic): repeatedly find the *critical interval* -- the interval
 ``w(t1, t2)`` sums the work of jobs whose entire ``[release, deadline]``
 window lies inside ``[t1, t2]`` -- run those jobs at exactly that speed in
 EDF order, remove them, collapse the interval, and recurse.  The returned
-per-job speeds are then realised as an explicit schedule by an EDF
-simulation, which the tests validate against every deadline.
+per-job speeds are then realised as an explicit schedule by the event-driven
+EDF executor :func:`edf_schedule_at_speeds`, which the tests validate
+against every deadline.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-
-import heapq
-from typing import Sequence
 
 from ..core.job import Instance
 from ..core.kernels import (
@@ -38,20 +38,17 @@ from ..core.kernels import (
     max_density_interval,
     max_density_interval_batched,
     pack_instances,
-    power_eval,
 )
 from ..core.power import PowerFunction
-from ..core.schedule import Piece, Schedule
+from ..core.schedule import Schedule
 from ..exceptions import InfeasibleError, InvalidInstanceError
 
 __all__ = [
     "YDSResult",
     "yds_speeds",
     "yds_speeds_batch",
-    "yds_speeds_reference",
     "yds_schedule",
     "edf_schedule_at_speeds",
-    "edf_energy_speeds",
 ]
 
 
@@ -81,9 +78,9 @@ def yds_speeds(instance: Instance) -> YDSResult:
     vectorised prefix-sum kernel
     :func:`repro.core.kernels.max_density_interval` instead of re-enumerating
     the member set of every release/deadline pair; the interval-collapse step
-    is a pair of array updates.  Results match
-    :func:`yds_speeds_reference` (the retained scalar implementation) to
-    floating-point accuracy; ``tests/test_kernels.py`` pins the two together.
+    is a pair of array updates.  Results match the scalar member-set loop
+    (``tests/oracles/yds.py``) to floating-point accuracy;
+    ``tests/test_kernels.py`` pins the two together.
     """
     _require_deadlines(instance)
     n = instance.n_jobs
@@ -116,71 +113,6 @@ def yds_speeds(instance: Instance) -> YDSResult:
     return YDSResult(speeds=speeds, critical_intervals=tuple(intervals))
 
 
-def yds_speeds_reference(instance: Instance) -> YDSResult:
-    """Scalar reference implementation of :func:`yds_speeds`.
-
-    Re-enumerates every release/deadline pair's member set each round, exactly
-    as the classic algorithm is usually stated.  Kept as the correctness
-    anchor for the vectorised kernel (and it is what the equivalence tests
-    compare against); use :func:`yds_speeds` everywhere else.
-    """
-    _require_deadlines(instance)
-    remaining: list[tuple[int, float, float, float]] = [
-        (job.index, job.release, float(job.deadline), job.work)  # type: ignore[arg-type]
-        for job in instance.jobs
-    ]
-    speeds = np.zeros(instance.n_jobs)
-    intervals: list[tuple[float, float, float]] = []
-
-    while remaining:
-        releases = sorted({r for _, r, _, _ in remaining})
-        deadlines = sorted({d for _, _, d, _ in remaining})
-        best_intensity = -1.0
-        best_pair: tuple[float, float] | None = None
-        best_set: list[int] = []
-        for t1 in releases:
-            for t2 in deadlines:
-                if t2 <= t1:
-                    continue
-                members = [idx for idx, (jid, r, d, w) in enumerate(remaining) if r >= t1 and d <= t2]
-                if not members:
-                    continue
-                work = sum(remaining[i][3] for i in members)
-                intensity = work / (t2 - t1)
-                # strict > : keep the first pair attaining the maximum, the
-                # same tie-break the vectorised kernel's argmax applies
-                if intensity > best_intensity:
-                    best_intensity = intensity
-                    best_pair = (t1, t2)
-                    best_set = members
-        if best_pair is None:  # pragma: no cover - defensive
-            raise InfeasibleError("YDS failed to find a critical interval")
-        t1, t2 = best_pair
-        intervals.append((t1, t2, best_intensity))
-        removed_ids = set()
-        for i in best_set:
-            jid = remaining[i][0]
-            speeds[jid] = best_intensity
-            removed_ids.add(jid)
-        length = t2 - t1
-        new_remaining = []
-        for jid, r, d, w in remaining:
-            if jid in removed_ids:
-                continue
-            if r >= t2:
-                r -= length
-            elif r > t1:
-                r = t1
-            if d >= t2:
-                d -= length
-            elif d > t1:
-                d = t1
-            new_remaining.append((jid, r, d, w))
-        remaining = new_remaining
-
-    return YDSResult(speeds=speeds, critical_intervals=tuple(intervals))
-
-
 def edf_schedule_at_speeds(
     instance: Instance,
     power: PowerFunction,
@@ -191,7 +123,15 @@ def edf_schedule_at_speeds(
     At every instant the released, unfinished job with the earliest deadline
     runs at *its own* assigned speed.  This reconstructs the YDS optimal
     schedule from its speed assignment and is also reused to execute other
-    per-job speed assignments (e.g. quantised ones) under EDF.
+    per-job speed assignments (e.g. verify's reconstruction of an answer's
+    speeds) under EDF.
+
+    Event-driven: released jobs wait in a ``(deadline, index)`` min-heap
+    that is touched only at releases and completions, consecutive pieces of
+    one job are merged as they are emitted, and the pieces are kept as
+    columns for :meth:`Schedule.from_columns`.  A residual whose finish time
+    rounds to the current time (below the clock's resolution at large
+    absolute times) counts as done.
     """
     _require_deadlines(instance)
     speeds = np.asarray(speeds, dtype=float)
@@ -200,57 +140,51 @@ def edf_schedule_at_speeds(
     if np.any(speeds <= 0.0) or np.any(~np.isfinite(speeds)):
         raise InvalidInstanceError("speeds must be finite and positive")
 
-    remaining = instance.works.astype(float).copy()
-    releases = instance.releases
-    deadlines = instance.deadlines
-    pieces: list[Piece] = []
-    t = float(releases.min())
-    active_piece: dict | None = None
-    # event-driven simulation: the state changes only at releases and
-    # completions, so we can jump between those.
-    for _ in range(10 * instance.n_jobs * (instance.n_jobs + 1) + 10):
-        unfinished = np.where(remaining > 1e-12)[0]
-        if len(unfinished) == 0:
-            break
-        available = unfinished[releases[unfinished] <= t + 1e-12]
-        if len(available) == 0:
-            t = float(releases[unfinished].min())
+    n = instance.n_jobs
+    releases = instance.releases.tolist()  # sorted: Instance orders jobs by release
+    deadlines = instance.deadlines.tolist()
+    remaining = instance.works.tolist()
+    speed_of = speeds.tolist()
+    pending: list[tuple[float, int]] = []  # (deadline, index) heap of released jobs
+    next_job = 0  # jobs[next_job:] not yet pushed (release order)
+    jobs_col: list[int] = []
+    starts_col: list[float] = []
+    ends_col: list[float] = []
+    t = releases[0]
+    for _ in range(10 * n * (n + 1) + 10):
+        while next_job < n and releases[next_job] <= t + 1e-12:
+            heapq.heappush(pending, (deadlines[next_job], next_job))
+            next_job += 1
+        while pending and remaining[pending[0][1]] <= 1e-12:
+            heapq.heappop(pending)
+        if not pending:
+            if next_job >= n:
+                break
+            t = releases[next_job]
             continue
-        job = int(available[np.argmin(deadlines[available])])
-        speed = float(speeds[job])
-        finish_time = t + remaining[job] / speed
-        future = unfinished[releases[unfinished] > t + 1e-12]
-        next_release = float(releases[future].min()) if len(future) else math.inf
-        end = min(finish_time, next_release)
+        job = pending[0][1]
+        speed = speed_of[job]
+        finish = t + remaining[job] / speed
+        if finish == t:
+            # a residual below the clock's resolution at t: done
+            remaining[job] = 0.0
+            continue
+        release = releases[next_job] if next_job < n else math.inf
+        end = finish if finish < release else release
         if end > t + 1e-15:
-            pieces.append(Piece(job=job, processor=0, start=t, end=end, speed=speed))
+            # a job keeps its one speed, so only the times decide a merge
+            if jobs_col and jobs_col[-1] == job and math.isclose(ends_col[-1], t, abs_tol=1e-12):
+                ends_col[-1] = end
+            else:
+                jobs_col.append(job)
+                starts_col.append(t)
+                ends_col.append(end)
             remaining[job] -= speed * (end - t)
         t = end
     else:  # pragma: no cover - defensive
         raise InfeasibleError("EDF simulation did not terminate")
-    return Schedule(instance, power, _merge_adjacent(pieces))
-
-
-def _merge_adjacent(pieces: list[Piece]) -> list[Piece]:
-    """Merge consecutive pieces of the same job at the same speed."""
-    merged: list[Piece] = []
-    for piece in pieces:
-        if (
-            merged
-            and merged[-1].job == piece.job
-            and math.isclose(merged[-1].end, piece.start, abs_tol=1e-12)
-            and math.isclose(merged[-1].speed, piece.speed, rel_tol=1e-12)
-        ):
-            merged[-1] = Piece(
-                job=piece.job,
-                processor=piece.processor,
-                start=merged[-1].start,
-                end=piece.end,
-                speed=piece.speed,
-            )
-        else:
-            merged.append(piece)
-    return merged
+    jobs = np.array(jobs_col, dtype=np.intp)
+    return Schedule.from_columns(instance, power, jobs, starts_col, ends_col, speeds[jobs])
 
 
 def yds_schedule(instance: Instance, power: PowerFunction) -> Schedule:
@@ -334,93 +268,3 @@ def yds_speeds_batch(instances: Sequence[Instance]) -> np.ndarray:
             works = np.take_along_axis(works, order, axis=1)[:, :live_width]
             ids = np.take_along_axis(ids, order, axis=1)[:, :live_width]
     return speeds
-
-
-def edf_energy_speeds(
-    instance: Instance,
-    power: PowerFunction,
-    speeds: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Energy and per-job average speeds of the EDF realisation, fast.
-
-    Computes exactly what ``edf_schedule_at_speeds(...).energy`` and
-    ``.speeds`` would (same thresholds, same piece-merge criteria, same
-    float operation order — the results are bitwise identical) without
-    constructing ``Piece``/``Schedule`` objects, which dominate the cost for
-    small instances.  The batched solver tier realises its planned speeds
-    through this path; ``tests/test_batched_kernels.py`` pins it to the
-    schedule-building one.
-    """
-    _require_deadlines(instance)
-    speeds = np.asarray(speeds, dtype=float)
-    if speeds.shape != (instance.n_jobs,):
-        raise InvalidInstanceError("need one speed per job")
-    if np.any(speeds <= 0.0) or np.any(~np.isfinite(speeds)):
-        raise InvalidInstanceError("speeds must be finite and positive")
-
-    n = instance.n_jobs
-    order = np.argsort(instance.releases, kind="stable")
-    releases = instance.releases[order].tolist()
-    deadline_arr = instance.deadlines
-    deadlines = deadline_arr[order].tolist()
-    remaining = instance.works[order].astype(float).tolist()
-    job_ids = order.tolist()
-    speed_list = speeds[order].tolist()
-
-    pending: list[tuple[float, int]] = []  # (deadline, original job id) heap
-    nxt = 0
-    t = releases[0] if n else 0.0
-    piece_jobs: list[int] = []
-    piece_starts: list[float] = []
-    piece_ends: list[float] = []
-    piece_speeds: list[float] = []
-    slot_of = [0] * n  # original job id -> sorted slot
-    for slot, jid in enumerate(job_ids):
-        slot_of[jid] = slot
-    for _ in range(10 * n * (n + 1) + 10):
-        while nxt < n and releases[nxt] <= t + 1e-12:
-            heapq.heappush(pending, (deadlines[nxt], job_ids[nxt]))
-            nxt += 1
-        while pending and remaining[slot_of[pending[0][1]]] <= 1e-12:
-            heapq.heappop(pending)
-        if not pending:
-            if nxt >= n:
-                break
-            t = releases[nxt]
-            continue
-        job = pending[0][1]
-        slot = slot_of[job]
-        speed = speed_list[slot]
-        finish_time = t + remaining[slot] / speed
-        next_release = releases[nxt] if nxt < n else math.inf
-        end = finish_time if finish_time < next_release else next_release
-        if end > t + 1e-15:
-            if (
-                piece_jobs
-                and piece_jobs[-1] == job
-                and math.isclose(piece_ends[-1], t, abs_tol=1e-12)
-                and math.isclose(piece_speeds[-1], speed, rel_tol=1e-12)
-            ):
-                piece_ends[-1] = end
-                piece_speeds[-1] = speed
-            else:
-                piece_jobs.append(job)
-                piece_starts.append(t)
-                piece_ends.append(end)
-                piece_speeds.append(speed)
-            remaining[slot] -= speed * (end - t)
-        t = end
-    else:  # pragma: no cover - defensive
-        raise InfeasibleError("EDF simulation did not terminate")
-
-    jobs = np.array(piece_jobs, dtype=np.intp)
-    starts = np.array(piece_starts)
-    ends = np.array(piece_ends)
-    piece_speed_arr = np.array(piece_speeds)
-    durations = ends - starts
-    energy = float(np.sum(power_eval(power, piece_speed_arr) * durations))
-    total_time = np.bincount(jobs, weights=durations, minlength=n)
-    total_work = np.bincount(jobs, weights=piece_speed_arr * durations, minlength=n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        job_speeds = np.where(total_time > 0, total_work / total_time, math.nan)
-    return energy, job_speeds

@@ -20,11 +20,14 @@ the continuous model ignores:
   same dynamic-power curve (exactly the registry's ``yds`` solver), the
   denominator of the reported energy ratio.
 
-The replay is an explicit event walk: arrivals, replan points (one per
-distinct arrival time — every policy replans when new work appears),
-speed-switch boundaries of the executed machine timeline (idle counts as
-speed 0), sleep/wake transitions, completions and deadline misses.  Both the
-event list and every energy figure are pure functions of
+The replay walks the executed machine timeline as masked array code over
+the schedule's piece columns: pieces merge into busy runs, and the idle
+gaps between runs are idled or slept through.  Its events are arrivals,
+replan points (one per distinct arrival time — every policy replans when
+new work appears), speed-switch boundaries (idle counts as speed 0),
+sleep/wake transitions, completions and deadline misses; they are counted
+arithmetically, and :attr:`SimResult.events` builds them on first access.
+Both the event list and every energy figure are pure functions of
 ``(trace, machine, algorithm)`` — no wall clock, no hidden randomness — so
 runs are deterministic and goldens can pin them byte for byte.
 
@@ -37,7 +40,9 @@ registry's online solvers build, so continuous-model rows reproduce the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,6 +103,21 @@ class SimEvent:
         )
 
 
+class _Timeline(NamedTuple):
+    """The executed machine timeline, as arrays over its busy runs.
+
+    ``starts`` and ``speeds`` hold every run; the other three hold runs
+    ``1..``: the machine's latest busy end before the run, whether an idle
+    gap precedes it, and whether that gap is slept through.
+    """
+
+    starts: np.ndarray
+    speeds: np.ndarray
+    gap_from: np.ndarray
+    gapped: np.ndarray
+    sleeping: np.ndarray
+
+
 @dataclass(frozen=True)
 class SimResult:
     """Everything :func:`simulate` produced: the report, the executed
@@ -105,7 +125,13 @@ class SimResult:
 
     report: SimReport
     schedule: Schedule
-    events: tuple[SimEvent, ...]
+    _timeline: _Timeline = field(repr=False, compare=False)
+    _missed: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def events(self) -> tuple[SimEvent, ...]:
+        """Every replay event in chronological order, built on first access."""
+        return _events(self.schedule, self._timeline, self._missed)
 
 
 def _planned_schedule(
@@ -149,27 +175,113 @@ def _planned_schedule(
     return executed, pq.clamped_segments + pq.slowed_segments
 
 
-def _merged_runs(schedule: Schedule) -> list[tuple[float, float, float]]:
-    """The machine's busy timeline: maximal same-speed runs, chronological.
+def _isclose(a: np.ndarray, b: np.ndarray, rel_tol: float) -> np.ndarray:
+    """``math.isclose(a, b, rel_tol=rel_tol)`` elementwise, for finite floats."""
+    diff = np.abs(b - a)
+    return (a == b) | (diff <= np.abs(rel_tol * b)) | (diff <= np.abs(rel_tol * a))
 
-    Walks the schedule's piece columns ordered by ``(start, end)``, so no
-    :class:`~repro.core.schedule.Piece` is built.
+
+def _run_heads(contiguous: np.ndarray, speeds: np.ndarray) -> np.ndarray:
+    """Indices of the pieces that open a busy run (pieces in time order).
+
+    A piece joins the current run when it is contiguous with it and within
+    ``_SPEED_RTOL`` of the run's *first* speed.  The pairwise test (each
+    piece against its predecessor) gives the same runs whenever every piece
+    it joins is close to its run's first speed and every speed break it
+    makes is one from that first speed too; otherwise the speeds drift
+    within a stretch, and the runs are found one piece at a time.
+    """
+    close = _isclose(speeds[1:], speeds[:-1], _SPEED_RTOL)
+    opens = np.concatenate(([True], ~(contiguous & close)))
+    first = np.maximum.accumulate(np.where(opens, np.arange(len(speeds)), 0))
+    anchored = _isclose(speeds[1:], speeds[first[:-1]], _SPEED_RTOL)
+    if np.array_equal(contiguous & anchored, ~opens[1:]):
+        return np.flatnonzero(opens)
+    heads = [0]
+    for k in range(1, len(speeds)):
+        if not (contiguous[k - 1] and math.isclose(
+            speeds[k], speeds[heads[-1]], rel_tol=_SPEED_RTOL
+        )):
+            heads.append(k)
+    return np.array(heads, dtype=np.intp)
+
+
+def _timeline(schedule: Schedule, machine: MachineModel) -> tuple[_Timeline, float, float, float]:
+    """The busy runs and idle gaps of a schedule, and busy/idle/sleep time.
+
+    The pieces are read from :attr:`Schedule.columns` in ``(start, end)``
+    order.  One processor's pieces never nest, so the latest end before a
+    piece is the end of the run it would join: a piece more than
+    ``_GAP_EPS`` past it opens a run after an idle gap.  Busy time is the
+    built-in ``sum`` of the run lengths (from Python 3.12 ``sum`` compensates
+    its rounding, so no numpy total matches it on every version); idle and
+    sleep time are sequential ``np.cumsum`` in run order, as a ``+=`` loop
+    adds them.
     """
     _, _, starts, ends, speeds = schedule.columns
     order = np.lexsort((ends, starts))
-    runs: list[tuple[float, float, float]] = []
-    for piece_start, piece_end, piece_speed in zip(
-        starts[order].tolist(), ends[order].tolist(), speeds[order].tolist()
+    starts, ends, speeds = starts[order], ends[order], speeds[order]
+    reach = np.maximum.accumulate(ends)
+    step = starts[1:] - reach[:-1]
+    heads = _run_heads(step <= _GAP_EPS, speeds)
+    run_starts = starts[heads]
+    gaps = step[heads[1:] - 1]
+    gapped = gaps > _GAP_EPS
+    sleeping = gapped & machine.should_sleep(gaps)
+    timeline = _Timeline(
+        starts=run_starts,
+        speeds=speeds[heads],
+        gap_from=reach[heads[1:] - 1],
+        gapped=gapped,
+        sleeping=sleeping,
+    )
+    busy_time = sum((np.maximum.reduceat(ends, heads) - run_starts).tolist())
+    idle_time = _running_total(gaps[gapped & ~sleeping])
+    sleep_time = _running_total(gaps[sleeping])
+    return timeline, busy_time, idle_time, sleep_time
+
+
+def _running_total(values: np.ndarray) -> float:
+    """The total of ``values`` added left to right, as a ``+=`` loop adds."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+def _events(schedule: Schedule, timeline: _Timeline, missed: np.ndarray) -> tuple[SimEvent, ...]:
+    """The replay's events, chronological: what :func:`simulate` counts."""
+    events: list[SimEvent] = []
+    gap_from = timeline.gap_from.tolist()
+    run_starts = timeline.starts.tolist()
+    run_speeds = timeline.speeds.tolist()
+    for i, (gapped, sleeping) in enumerate(
+        zip(timeline.gapped.tolist(), timeline.sleeping.tolist())
     ):
-        if runs:
-            start, end, speed = runs[-1]
-            contiguous = piece_start - end <= _GAP_EPS
-            same = math.isclose(piece_speed, speed, rel_tol=_SPEED_RTOL)
-            if contiguous and same:
-                runs[-1] = (start, max(end, piece_end), speed)
-                continue
-        runs.append((piece_start, piece_end, piece_speed))
-    return runs
+        if sleeping:
+            events.append(SimEvent(time=gap_from[i], kind="sleep"))
+            events.append(SimEvent(time=run_starts[i + 1], kind="wake"))
+        if gapped:
+            # stepping down to idle
+            events.append(SimEvent(time=gap_from[i], kind="speed-switch", speed=0.0))
+        events.append(
+            SimEvent(time=run_starts[i + 1], kind="speed-switch", speed=run_speeds[i + 1])
+        )
+    instance = schedule.instance
+    completions = schedule.completion_times
+    for job in instance.jobs:
+        events.append(SimEvent(time=job.release, kind="arrival", job=job.index))
+        events.append(
+            SimEvent(
+                time=float(completions[job.index]), kind="completion", job=job.index
+            )
+        )
+        if missed[job.index]:
+            events.append(
+                SimEvent(time=float(job.deadline), kind="deadline-miss", job=job.index)
+            )
+    replan_times = sorted(set(float(r) for r in instance.releases))
+    for t in replan_times:
+        events.append(SimEvent(time=t, kind="replan"))
+    events.sort(key=SimEvent.sort_key)
+    return tuple(events)
 
 
 def simulate(
@@ -203,39 +315,12 @@ def simulate(
     )
 
     # --- machine timeline: busy runs, idle gaps, sleep decisions -----------
-    runs = _merged_runs(executed)
-    busy_time = sum(end - start for start, end, _ in runs)
-    events: list[SimEvent] = []
-    idle_time = 0.0
-    sleep_time = 0.0
-    sleep_transitions = 0
-    speed_switches = 0
-    previous_speed = None  # operating state; idle gaps are speed 0.0
-    previous_end = None
-    for start, end, speed in runs:
-        if previous_end is not None and start - previous_end > _GAP_EPS:
-            gap = start - previous_end
-            if machine.should_sleep(gap):
-                sleep_time += gap
-                sleep_transitions += 1
-                events.append(SimEvent(time=previous_end, kind="sleep"))
-                events.append(SimEvent(time=start, kind="wake"))
-            else:
-                idle_time += gap
-            if previous_speed not in (None, 0.0):
-                speed_switches += 1  # stepping down to idle
-                events.append(
-                    SimEvent(time=previous_end, kind="speed-switch", speed=0.0)
-                )
-            previous_speed = 0.0
-        if previous_speed is None or not math.isclose(
-            speed, previous_speed, rel_tol=_SPEED_RTOL, abs_tol=0.0
-        ):
-            if previous_speed is not None:
-                speed_switches += 1
-                events.append(SimEvent(time=start, kind="speed-switch", speed=speed))
-            previous_speed = speed
-        previous_end = max(end, previous_end or end)
+    timeline, busy_time, idle_time, sleep_time = _timeline(executed, machine)
+    sleep_transitions = int(np.count_nonzero(timeline.sleeping))
+    # every run after the first opens with a switch to its speed (a run
+    # contiguous with the previous one is not close to its speed, or the
+    # two would have merged); a gap adds the step down to idle
+    speed_switches = len(timeline.starts) - 1 + int(np.count_nonzero(timeline.gapped))
 
     # --- energy accounting --------------------------------------------------
     # dynamic energy is exactly the executed schedule's energy: on a pure
@@ -258,22 +343,13 @@ def simulate(
     deadline_misses = int(np.count_nonzero(miss_mask))
     max_lateness = float(max(0.0, float(lateness.max())))
 
-    # --- arrival / replan / completion events -------------------------------
-    for job in instance.jobs:
-        events.append(SimEvent(time=job.release, kind="arrival", job=job.index))
-        events.append(
-            SimEvent(
-                time=float(completions[job.index]), kind="completion", job=job.index
-            )
-        )
-        if miss_mask[job.index]:
-            events.append(
-                SimEvent(time=float(job.deadline), kind="deadline-miss", job=job.index)
-            )
-    replan_times = sorted(set(float(r) for r in instance.releases))
-    for t in replan_times:
-        events.append(SimEvent(time=t, kind="replan"))
-    events.sort(key=SimEvent.sort_key)
+    # --- events: arrivals and completions per job, one replan per distinct
+    # arrival time, misses, sleep/wake pairs and speed switches -------------
+    replans = len(np.unique(instance.releases))
+    n_events = (
+        2 * instance.n_jobs + deadline_misses + replans
+        + 2 * sleep_transitions + speed_switches
+    )
 
     if yds_bound is None:
         yds_bound = float(yds_schedule(instance, machine.power).energy)
@@ -296,11 +372,11 @@ def simulate(
         speed_switches=speed_switches,
         sleep_transitions=sleep_transitions,
         clamped_segments=int(clamped),
-        replans=len(replan_times),
-        n_events=len(events),
+        replans=replans,
+        n_events=n_events,
         busy_time=float(busy_time),
         idle_time=float(idle_time),
         sleep_time=float(sleep_time),
         makespan=float(executed.makespan),
     )
-    return SimResult(report=report, schedule=executed, events=tuple(events))
+    return SimResult(report, executed, timeline, miss_mask)

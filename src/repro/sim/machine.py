@@ -30,6 +30,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
+import numpy as np
+
 from ..core.power import PolynomialPower, PowerFunction
 from ..discrete import ATHLON64, SpeedLevels
 from ..discrete.quantize import QUANTIZATION_POLICIES
@@ -106,11 +108,12 @@ class MachineModel:
             return math.inf
         return self.sleep.transition_energy / (self.static_power - self.sleep.power)
 
-    def should_sleep(self, gap: float) -> bool:
-        """The sleep decision for an idle gap of the given length."""
+    def should_sleep(self, gap: float | np.ndarray) -> bool | np.ndarray:
+        """The sleep decision for an idle gap of the given length (or each of
+        an array of gaps, elementwise)."""
         if self.sleep is None:
             return False
-        return gap >= self.break_even_time and gap >= self.sleep.wake_latency
+        return (gap >= self.break_even_time) & (gap >= self.sleep.wake_latency)
 
     def describe(self) -> str:
         parts = [f"power={type(self.power).__name__}"]

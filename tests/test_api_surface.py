@@ -157,17 +157,14 @@ ONLINE_SURFACE = {
     "YDSResult",
     "avr_schedule",
     "avr_speed_profile",
-    "avr_speed_profile_reference",
     "bkp_schedule",
     "bkp_speed_profile",
     "competitive_sweep",
     "edf_schedule_at_speeds",
     "execute_profile_edf",
-    "oa_schedule",
     "oa_schedule_incremental",
     "yds_schedule",
     "yds_speeds",
-    "yds_speeds_reference",
 }
 
 FAULTS_SURFACE = {

@@ -45,12 +45,8 @@ from repro.core.kernels import (
 from repro.core.power import AffinePolynomialPower
 from repro.exceptions import InvalidInstanceError
 from repro.online.avr import avr_speed_profile, avr_speed_profiles_batch
-from repro.online.yds import (
-    edf_energy_speeds,
-    edf_schedule_at_speeds,
-    yds_speeds,
-    yds_speeds_batch,
-)
+from oracles.edf import edf_schedule_at_speeds_scan
+from repro.online.yds import edf_schedule_at_speeds, yds_speeds, yds_speeds_batch
 
 common_settings = hypothesis_settings(max_examples=25)
 
@@ -238,12 +234,14 @@ def test_yds_speeds_batch_degenerate_chunks_bitwise():
 @common_settings
 @given(instances=instance_chunks())
 def test_edf_energy_speeds_matches_schedule_bitwise(instances):
+    """The energy and realised speeds the batched yds tier reports (read off
+    the event-driven EDF schedule) equal the rescanning loop's, bitwise."""
     for inst in instances:
         speeds = yds_speeds(inst).speeds
-        energy, job_speeds = edf_energy_speeds(inst, POWER, speeds)
         sched = edf_schedule_at_speeds(inst, POWER, speeds)
-        assert energy == sched.energy
-        assert np.array_equal(job_speeds, sched.speeds)
+        oracle = edf_schedule_at_speeds_scan(inst, POWER, speeds)
+        assert sched.energy == oracle.energy
+        assert np.array_equal(sched.speeds, oracle.speeds)
 
 
 @common_settings

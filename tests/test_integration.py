@@ -21,7 +21,7 @@ from repro.multi import (
     multiprocessor_flow_equal_work,
     multiprocessor_makespan_equal_work,
 )
-from repro.online import avr_schedule, oa_schedule, yds_schedule
+from repro.online import avr_schedule, oa_schedule_incremental, yds_schedule
 from repro.workloads import (
     FIGURE1_BREAKPOINTS,
     bursty_instance,
@@ -130,7 +130,7 @@ class TestOnlinePipeline:
         inst = deadline_instance(7, seed=9, laxity=2.5)
         opt = yds_schedule(inst, CUBE)
         avr = avr_schedule(inst, CUBE)
-        oa = oa_schedule(inst, CUBE)
+        oa = oa_schedule_incremental(inst, CUBE)
         for schedule in (opt, avr, oa):
             schedule.validate(require_deadlines=True)
         assert opt.energy <= oa.energy * (1 + 1e-9)

@@ -5,7 +5,8 @@ retained scalar reference implementation on randomized (Hypothesis)
 instances:
 
 * ``yds_speeds`` (prefix-sum critical-interval kernel) vs
-  ``yds_speeds_reference`` (the classic member-set re-enumeration),
+  ``oracles.yds.yds_speeds_reference`` (the classic member-set
+  re-enumeration),
 * ``incmerge`` (bulk-precomputed block energies) vs ``quadratic_laptop``
   and ``brute_force_laptop`` (structurally independent solvers),
 * ``TradeoffCurve.sample*`` / ``segment_at`` (searchsorted + grouped array
@@ -44,7 +45,8 @@ from repro.core.kernels import (
 )
 from repro.core.power import AffinePolynomialPower
 from repro.makespan import brute_force_laptop, incmerge, makespan_frontier, quadratic_laptop
-from repro.online import yds_speeds, yds_speeds_reference
+from oracles.yds import yds_speeds_reference
+from repro.online import yds_speeds
 
 TOL = 1e-9
 

@@ -15,7 +15,7 @@ from repro.online import (
     avr_speed_profile,
     bkp_schedule,
     execute_profile_edf,
-    oa_schedule,
+    oa_schedule_incremental,
     yds_schedule,
 )
 from repro.workloads import deadline_instance
@@ -55,7 +55,7 @@ class TestOA:
     def test_meets_deadlines(self, cube):
         for seed in range(8):
             inst = deadline_instance(6, seed=seed, laxity=2.0)
-            schedule = oa_schedule(inst, cube)
+            schedule = oa_schedule_incremental(inst, cube)
             schedule.validate(require_deadlines=True)
 
     def test_energy_at_least_optimal_and_within_bound(self, cube):
@@ -63,7 +63,7 @@ class TestOA:
         bound = alpha**alpha
         for seed in range(6):
             inst = deadline_instance(5, seed=seed, laxity=3.0)
-            oa_energy = oa_schedule(inst, cube).energy
+            oa_energy = oa_schedule_incremental(inst, cube).energy
             opt_energy = yds_schedule(inst, cube).energy
             assert oa_energy >= opt_energy * (1 - 1e-9)
             assert oa_energy <= bound * opt_energy * (1 + 1e-9)
@@ -71,14 +71,14 @@ class TestOA:
     def test_single_release_matches_yds(self, cube):
         # with all jobs released together OA's first plan is final, so OA = YDS
         inst = Instance.from_arrays([0.0, 0.0, 0.0], [1.0, 2.0, 1.0], deadlines=[2.0, 5.0, 9.0])
-        assert oa_schedule(inst, cube).energy == pytest.approx(
+        assert oa_schedule_incremental(inst, cube).energy == pytest.approx(
             yds_schedule(inst, cube).energy, rel=1e-9
         )
 
     def test_alpha_2(self):
         power = PolynomialPower(2.0)
         inst = deadline_instance(5, seed=11, laxity=2.5)
-        oa_energy = oa_schedule(inst, power).energy
+        oa_energy = oa_schedule_incremental(inst, power).energy
         opt = yds_schedule(inst, power).energy
         assert opt <= oa_energy <= 4.0 * opt * (1 + 1e-9)
 

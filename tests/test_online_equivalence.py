@@ -3,9 +3,13 @@
 Every fast path of the online engine is pinned to an oracle --
 
 * ``oa_schedule_incremental`` (prefix-density planner, in-place residual
-  updates) vs ``oa_schedule`` (re-plans with full YDS per event), at 1e-9,
+  updates, columnar pieces) vs ``oracles.oa.oa_schedule`` (re-plans with
+  full YDS per event) at 1e-9, and vs
+  ``oracles.oa.oa_schedule_incremental_pieces`` (one ``Piece`` per step)
+  bit for bit,
 * ``avr_speed_profile`` (event-grid scatter-add kernel) vs
-  ``avr_speed_profile_reference`` (one scan per segment), at 1e-9,
+  ``oracles.avr.avr_speed_profile_reference`` (one scan per segment), at
+  1e-9,
 * ``bkp_speed_profile`` (all intervals in one blocked pass) vs
   ``oracles.bkp.bkp_speed_profile_reference`` (one ``bkp_speed_at`` per
   slice) at 1e-9, and vs ``oracles.bkp.bkp_speed_profile_per_interval``
@@ -16,6 +20,9 @@ Every fast path of the online engine is pinned to an oracle --
   per piece, ``Piece``-based work conservation) bit for bit,
 * ``quantize_profile`` (masked array code) vs
   ``oracles.quantize.quantize_profile_loop`` bit for bit,
+* ``edf_schedule_at_speeds`` (event-driven, columnar) vs
+  ``oracles.edf.edf_schedule_at_speeds_scan`` (one ``np.where`` scan and one
+  ``Piece`` per step, merged afterwards) bit for bit,
 
 across all deadline-carrying generator families, including the two
 adversarial ones, the benchmark's 64-job traces, plus randomized
@@ -27,6 +34,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from _strategies import (
     deadline_instance_from as _deadline_instance,
@@ -35,19 +43,24 @@ from _strategies import (
     releases_strategy,
     works_strategy,
 )
+from oracles.avr import avr_speed_profile_reference
 from oracles.bkp import bkp_speed_profile_per_interval, bkp_speed_profile_reference
+from oracles.edf import edf_schedule_at_speeds_scan
 from oracles.executor import execute_profile_edf_heap, execute_profile_edf_reference
+from oracles.oa import oa_schedule, oa_schedule_incremental_pieces
 from oracles.quantize import quantize_profile_loop
 from repro.core import CUBE, Instance, PolynomialPower
 from repro.discrete import quantize_profile
 from repro.exceptions import InfeasibleError, InvalidInstanceError
 from repro.online import (
     avr_speed_profile,
-    avr_speed_profile_reference,
+    bkp_schedule,
     bkp_speed_profile,
+    edf_schedule_at_speeds,
     execute_profile_edf,
-    oa_schedule,
     oa_schedule_incremental,
+    yds_schedule,
+    yds_speeds,
 )
 from repro.sim import generate_trace, machine_model
 from repro.workloads import (
@@ -377,3 +390,119 @@ def test_executor_unfinished_work_names_the_oracles_jobs():
         execute_profile_edf(inst, CUBE, profile, work_tolerance=1e-3)
     assert str(fast.value) == str(oracle.value)
     assert "jobs [" in str(fast.value)
+
+
+# ----------------------------------------------------------------------
+# bitwise pins: per-job-speed EDF executor and columnar OA vs oracles
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def _deadline_instances(draw):
+    """Deadline instances with n = 1-64, tied releases and deadlines, and
+    release gaps below 1e-12."""
+    n = draw(st.integers(min_value=1, max_value=64))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    tie_share = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    sliver_share = draw(st.sampled_from([0.0, 0.3]))
+    releases = np.sort(rng.uniform(0.0, 10.0, n))
+    draws = rng.random(n)
+    for i in range(1, n):
+        if draws[i] < tie_share:
+            releases[i] = releases[i - 1]
+        elif draws[i] < tie_share + sliver_share:
+            # log-uniform below 1e-12: from a few ulps (or a tie, rounded)
+            # up to the 1e-12 release threshold
+            releases[i] = releases[i - 1] + 10.0 ** rng.uniform(-17.0, -12.0)
+    deadlines = releases + rng.uniform(0.3, 5.0, n)
+    if draw(st.booleans()):
+        deadlines = np.ceil(deadlines)  # tied deadlines
+    return Instance.from_arrays(releases, rng.uniform(0.1, 3.0, n), deadlines=deadlines)
+
+
+def _assert_edf_identical(inst, seed=0):
+    """YDS speeds, and the same speeds scaled per job by factors in [1, 1.5]."""
+    speeds = yds_speeds(inst).speeds
+    scaled = speeds * np.random.default_rng(seed).uniform(1.0, 1.5, inst.n_jobs)
+    for planned in (speeds, scaled):
+        _assert_schedules_identical(
+            edf_schedule_at_speeds(inst, CUBE, planned),
+            edf_schedule_at_speeds_scan(inst, CUBE, planned),
+        )
+
+
+@pytest.mark.parametrize("family", TRACE_FAMILIES)
+def test_per_job_speed_executor_bitwise_on_benchmark_traces(family):
+    _assert_edf_identical(_trace_instance(family))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("n_jobs", [1, 2, 16, 32, 64])
+def test_per_job_speed_executor_bitwise_on_families(family, n_jobs):
+    for seed in range(2):
+        _assert_edf_identical(FAMILIES[family](n_jobs, seed), seed)
+
+
+@pytest.mark.slow
+@common_settings
+@given(inst=_deadline_instances(), seed=st.integers(min_value=0, max_value=2**16))
+def test_per_job_speed_executor_bitwise_hypothesis(inst, seed):
+    _assert_edf_identical(inst, seed)
+
+
+@pytest.mark.parametrize("family", TRACE_FAMILIES)
+def test_columnar_oa_bitwise_on_benchmark_traces(family):
+    inst = _trace_instance(family)
+    _assert_schedules_identical(
+        oa_schedule_incremental(inst, CUBE), oa_schedule_incremental_pieces(inst, CUBE)
+    )
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_columnar_oa_bitwise_on_families(family):
+    for n_jobs in (1, 5, 20):
+        for seed in range(2):
+            inst = FAMILIES[family](n_jobs, seed)
+            _assert_schedules_identical(
+                oa_schedule_incremental(inst, CUBE),
+                oa_schedule_incremental_pieces(inst, CUBE),
+            )
+
+
+@pytest.mark.slow
+@common_settings
+@given(inst=_deadline_instances())
+def test_columnar_oa_bitwise_hypothesis(inst):
+    _assert_schedules_identical(
+        oa_schedule_incremental(inst, CUBE), oa_schedule_incremental_pieces(inst, CUBE)
+    )
+
+
+def test_per_job_speed_executor_finishes_residuals_below_the_clock_resolution():
+    """Near t = 1e4 a residual just above 1e-12 runs for less than half the
+    float spacing at t; the rescanning loop then cannot advance and raises,
+    while the executor counts the residual as done."""
+    inst = Instance.from_arrays(
+        [10001.8, 10002.5], [2.2, 1.2], deadlines=[10003.3, 10003.8]
+    )
+    speeds = yds_speeds(inst).speeds
+    with pytest.raises(InfeasibleError, match="did not terminate"):
+        edf_schedule_at_speeds_scan(inst, CUBE, speeds)
+    schedule = edf_schedule_at_speeds(inst, CUBE, speeds)
+    schedule.validate(require_deadlines=True)
+    unshifted = Instance.from_arrays([1.8, 2.5], [2.2, 1.2], deadlines=[3.3, 3.8])
+    assert schedule.energy == pytest.approx(yds_schedule(unshifted, CUBE).energy, rel=1e-9)
+
+
+def test_profile_executor_finishes_residuals_below_the_clock_resolution():
+    """BKP on (release, work, deadline) = (0, 1, 1) and (1e4, 1, 1e4 + 1):
+    the heap loop stops with "did not advance", the executor completes."""
+    inst = Instance.from_arrays([0.0, 1e4], [1.0, 1.0], deadlines=[1.0, 1e4 + 1.0])
+    rows = [tuple(row) for row in bkp_speed_profile(inst).tolist()]
+    with pytest.raises(InfeasibleError, match="did not advance"):
+        execute_profile_edf_heap(inst, CUBE, rows, work_tolerance=1e-3)
+    schedule = bkp_schedule(inst, CUBE)
+    schedule.validate()
+    # the two jobs never overlap, so each costs what it costs alone
+    alone = bkp_schedule(Instance.from_arrays([0.0], [1.0], deadlines=[1.0]), CUBE)
+    assert schedule.energy == pytest.approx(2.0 * alone.energy, rel=1e-9)

@@ -32,12 +32,12 @@ from _strategies import (
     releases_strategy,
     works_strategy,
 )
+from oracles.oa import oa_schedule
 from repro.core import CUBE, Instance, PolynomialPower
 from repro.online import (
     avr_schedule,
     avr_speed_profile,
     bkp_schedule,
-    oa_schedule,
     oa_schedule_incremental,
     yds_schedule,
 )
