@@ -17,6 +17,7 @@ agree to numerical precision.
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,13 +25,17 @@ import pytest
 
 from repro.analysis import format_table
 from repro.makespan import (
-    convex_laptop_makespan,
     incmerge,
     minimum_energy_for_makespan,
     server_energy_via_yds,
     uniform_speed_schedule,
 )
 from repro.workloads import bursty_instance, figure1_power, poisson_instance
+
+_TESTS = str(Path(__file__).resolve().parent.parent / "tests")
+if _TESTS not in sys.path:  # the SLSQP program lives with the test oracles
+    sys.path.insert(0, _TESTS)
+from oracles.convex_ref import convex_laptop_makespan  # noqa: E402
 
 RESULTS = Path(__file__).parent / "results"
 

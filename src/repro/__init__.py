@@ -46,47 +46,68 @@ Subpackage map (see README.md for the full tour):
 * :mod:`repro.analysis` -- derivatives, breakpoints, tables, ASCII plots.
 """
 
-from . import (
-    analysis,
-    api,
-    batch,
-    cache,
-    core,
-    discrete,
-    faults,
-    flow,
-    io,
-    makespan,
-    multi,
-    online,
-    service,
-    sim,
-    verify,
-    workloads,
-)
-from .api import (
-    REGISTRY,
-    ProblemSpec,
-    SolveRequest,
-    SolveResult,
-    SolverCapabilities,
-    SolverRegistry,
-    list_solvers,
-    solve,
-)
-from .batch import BatchResult, solve_many, solve_stream
-from .cache import ResultCache
-from .faults import FaultPlan
-from .core import (
-    CUBE,
-    SQUARE,
-    Instance,
-    Job,
-    PolynomialPower,
-    PowerFunction,
-    Schedule,
-    TradeoffCurve,
-)
+from importlib import import_module
+
+#: Subpackages and modules, imported on first attribute access (PEP 562), so
+#: ``import repro`` costs nothing and a caller pays only for what it uses.
+_SUBMODULES = frozenset({
+    "analysis",
+    "api",
+    "batch",
+    "cache",
+    "core",
+    "discrete",
+    "faults",
+    "flow",
+    "io",
+    "makespan",
+    "multi",
+    "online",
+    "service",
+    "sim",
+    "verify",
+    "workloads",
+})
+
+#: Re-exported name -> the submodule that defines it, resolved the same way.
+_EXPORTS = {
+    "REGISTRY": "api",
+    "ProblemSpec": "api",
+    "SolveRequest": "api",
+    "SolveResult": "api",
+    "SolverCapabilities": "api",
+    "SolverRegistry": "api",
+    "list_solvers": "api",
+    "solve": "api",
+    "BatchResult": "batch",
+    "solve_many": "batch",
+    "solve_stream": "batch",
+    "ResultCache": "cache",
+    "FaultPlan": "faults",
+    "CUBE": "core",
+    "SQUARE": "core",
+    "Instance": "core",
+    "Job": "core",
+    "PolynomialPower": "core",
+    "PowerFunction": "core",
+    "Schedule": "core",
+    "TradeoffCurve": "core",
+}
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "1.1.0"
 

@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from ..exceptions import BudgetError, InfeasibleError, InvalidInstanceError
+from .roots import brentq
 
 __all__ = ["CurveSegment", "TradeoffCurve"]
 
@@ -393,10 +393,7 @@ class TradeoffCurve:
                         f"could not bracket the minimum energy for "
                         f"{self.metric_name} = {target:g}"
                     )
-            result = optimize.brentq(
-                lambda e: seg.value(e) - target, lo, hi, xtol=1e-12, rtol=1e-12
-            )
-            return float(result)
+            return brentq(lambda e: seg.value(e) - target, lo, hi, xtol=1e-12, rtol=1e-12)
         raise InfeasibleError(
             f"target {self.metric_name} = {target:g} is not achievable with any "
             f"energy budget up to {self.max_energy:g}"

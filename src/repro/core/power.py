@@ -37,9 +37,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from ..exceptions import BudgetError, UnsupportedPowerFunctionError
+from .roots import brentq
 
 __all__ = [
     "PowerFunction",
@@ -163,7 +163,7 @@ class PowerFunction(ABC):
             lo /= 2.0
             if lo < 1e-150:
                 raise BudgetError("marginal energy too small to invert")
-        return float(optimize.brentq(residual, lo, hi, xtol=1e-300, rtol=1e-15))
+        return brentq(residual, lo, hi, xtol=1e-300, rtol=1e-15)
 
     # -- introspection ---------------------------------------------------
     @property
@@ -325,7 +325,7 @@ class AffinePolynomialPower(PowerFunction):
         lo_bracket = max(lo, 1e-12)
         if residual(lo_bracket) > 0.0:
             return lo_bracket
-        return float(optimize.brentq(residual, lo_bracket, hi, xtol=1e-14, rtol=1e-14))
+        return brentq(residual, lo_bracket, hi, xtol=1e-14, rtol=1e-14)
 
     def marginal_energy(self, speed: float) -> float:
         # s * P'(s) - P(s) = c * (alpha - 1) * s**alpha - static
@@ -415,7 +415,7 @@ class TabulatedConvexPower(PowerFunction):
             lo /= 2.0
             if lo < 1e-300:
                 raise BudgetError("energy per unit work too small to invert")
-        return float(optimize.brentq(residual, lo, hi, xtol=1e-14, rtol=1e-14))
+        return brentq(residual, lo, hi, xtol=1e-14, rtol=1e-14)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TabulatedConvexPower(name={self._name!r})"

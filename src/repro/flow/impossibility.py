@@ -36,10 +36,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import optimize
 
 from ..core.job import Instance
 from ..core.power import PolynomialPower, PowerFunction
+from ..core.roots import brentq
 from ..exceptions import InvalidInstanceError
 
 __all__ = [
@@ -157,7 +157,7 @@ def solve_optimality_system(energy_budget: float = 9.0) -> Theorem8Solution:
             "the C_2 = 1 configuration is not optimal at this budget"
         )
     i = int(sign_change[0])
-    sigma2 = float(optimize.brentq(residual, float(grid[i]), float(grid[i + 1]), xtol=1e-15, rtol=1e-15))
+    sigma2 = brentq(residual, float(grid[i]), float(grid[i + 1]), xtol=1e-15, rtol=1e-15)
     sigma1 = sigma1_of(sigma2)
     sigma3 = sigma3_of(sigma2)
     flow = 1.0 / sigma1 + 1.0 + 1.0 / sigma3  # C1 + C2 + (C3 - r3) with C2 = 1, r3 = 1

@@ -6,15 +6,13 @@
 * :func:`minimum_energy_for_makespan` -- the server problem, by inverting the
   frontier (plus a direct evaluation variant).
 * :mod:`~repro.makespan.oracle` -- brute-force and ``O(n^2)`` DP reference
-  solvers used as correctness oracles.
-* :mod:`~repro.makespan.convex_ref` -- an independent convex-programming
-  reference solver.
+  solvers used as correctness oracles (the independent SLSQP program is a
+  test oracle, ``tests/oracles/convex_ref.py``).
 * :mod:`~repro.makespan.baselines` -- quadratic-time and naive baselines used
   in the benchmarks.
 """
 
 from .baselines import quadratic_laptop, server_energy_via_yds, uniform_speed_schedule
-from .convex_ref import ConvexMakespanResult, convex_laptop_makespan
 from .frontier import FrontierSegmentInfo, makespan_frontier, schedule_for_energy
 from .incmerge import IncMergeResult, incmerge, incmerge_speeds
 from .oracle import OracleResult, brute_force_laptop, dp_laptop
@@ -37,8 +35,6 @@ __all__ = [
     "OracleResult",
     "brute_force_laptop",
     "dp_laptop",
-    "ConvexMakespanResult",
-    "convex_laptop_makespan",
     "quadratic_laptop",
     "server_energy_via_yds",
     "uniform_speed_schedule",

@@ -29,11 +29,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from ..core.job import Instance
 from ..core.pareto import TradeoffCurve
 from ..core.power import PowerFunction
+from ..core.roots import brentq
 from ..core.schedule import Schedule
 from ..exceptions import BudgetError, InfeasibleError
 from ..flow.convex import release_order_flow
@@ -149,11 +149,7 @@ def makespan_for_assignment(
     while total_energy(lo) < energy_budget and tries < 60:
         lo = last_release + (lo - last_release) / 4.0
         tries += 1
-    makespan = float(
-        optimize.brentq(
-            lambda T: total_energy(T) - energy_budget, lo, hi, xtol=tol, rtol=1e-13
-        )
-    )
+    makespan = brentq(lambda T: total_energy(T) - energy_budget, lo, hi, xtol=tol, rtol=1e-13)
 
     # recover the per-job speeds: each processor solves its server problem at T
     from ..makespan.incmerge import incmerge  # local import to avoid cycles

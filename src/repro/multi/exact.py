@@ -30,10 +30,10 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from ..core.job import Instance
 from ..core.power import PowerFunction
+from ..core.roots import brentq
 from ..exceptions import BudgetError, InfeasibleError, InvalidInstanceError
 from .assigned import AssignedMakespanResult, makespan_for_assignment
 
@@ -102,7 +102,7 @@ def makespan_for_loads(
     lo = hi / 2.0
     while energy_at(lo) < energy_budget and lo > 1e-18:
         lo /= 2.0
-    return float(optimize.brentq(lambda T: energy_at(T) - energy_budget, lo, hi, xtol=1e-14))
+    return brentq(lambda T: energy_at(T) - energy_budget, lo, hi, xtol=1e-14)
 
 
 def optimal_load_partition(

@@ -28,10 +28,24 @@ against YDS and writes ``BENCH_online.json``.
 
 from .avr import avr_schedule, avr_speed_profile
 from .bkp import bkp_schedule, bkp_speed_profile
-from .compete import ALGORITHMS, FAMILIES, RATIO_BOUNDS, competitive_sweep
 from .executor import execute_profile_edf
 from .oa import oa_schedule_incremental
 from .yds import YDSResult, edf_schedule_at_speeds, yds_schedule, yds_speeds
+
+#: The competitive pipeline's names, resolved on first access (PEP 562).
+#: ``compete`` runs on the batch engine and reads ``ALGORITHMS`` off the
+#: registry when imported; imported here, it would read it midway through
+#: the registry bootstrap that imports ``repro.online.register``, as ``()``.
+_COMPETE_EXPORTS = frozenset({"ALGORITHMS", "FAMILIES", "RATIO_BOUNDS", "competitive_sweep"})
+
+
+def __getattr__(name: str):
+    if name in _COMPETE_EXPORTS:
+        from . import compete
+
+        return getattr(compete, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "avr_schedule",

@@ -34,7 +34,6 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from ..api.registry import REGISTRY
-from ..batch import solve_many
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cache import ResultCache
@@ -204,6 +203,10 @@ def competitive_sweep(
         # truncated sweep: deterministic subsample, declared in the payload
         grid = grid[::stride]
     instances = [FAMILIES[family](size, seed) for family, size, seed in grid]
+
+    # the batch engine (multiprocessing, sqlite3) loads only for a sweep, not
+    # for the verifier's RATIO_BOUNDS lookup
+    from ..batch import solve_many
 
     cells: list[CompetitiveCell] = []
     # One solve_many pass per (alpha, algorithm).  The produced schedules are

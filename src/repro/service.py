@@ -71,6 +71,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Iterable, TextIO
 
+# numpy's np.unique imports numpy.ma on its first call (~16 ms); a server
+# pays that at start-up, not on the first request that reaches it.
+import numpy.ma  # noqa: F401
+
 from .api import REGISTRY, SolveRequest, SolveResult
 from .api import solve as api_solve
 from .api import verify as api_verify
@@ -257,6 +261,7 @@ class AsyncServeLoop:
             raise InvalidInstanceError(
                 f"routing must be one of {ROUTING_MODES}, got {routing!r}"
             )
+        REGISTRY.names()  # import every solver module now, not on a first request
         self.routing = routing
         self.cache = cache
         self.verify = verify

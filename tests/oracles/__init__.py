@@ -34,6 +34,9 @@ replaced lives here, unchanged, as the references the equivalence suites
   :func:`~oracles.flow.convex_flow_server`,
   :func:`~oracles.flow.flow_for_assignment`), which the exact sweep must
   never lose to.
+* :mod:`oracles.convex_ref` -- the SLSQP program for the laptop makespan
+  problem, :func:`~oracles.convex_ref.convex_laptop_makespan`, an
+  independent check on IncMerge.
 
 Import them as ``from oracles.bkp import ...`` (``tests/`` is on
 ``sys.path`` under pytest; the benchmarks add it themselves).

@@ -14,8 +14,12 @@ convex ``P`` (perspective function), so a general-purpose NLP solver finds the
 global optimum.  This module wraps :func:`scipy.optimize.minimize` (SLSQP)
 around that formulation.  It is intentionally *independent* of the block
 machinery: agreement between this solver and IncMerge is one of the strongest
-correctness checks in the test suite, and the benchmark
-``bench_makespan_baselines`` reports how much slower the generic solver is.
+correctness checks in the test suite (``tests/test_convex_ref.py``), and the
+benchmark ``bench_makespan_baselines`` reports how much slower the generic
+solver is.
+
+Import it as ``from oracles.convex_ref import ...`` (``tests/`` is on
+``sys.path`` under pytest; the benchmark adds it itself).
 """
 
 from __future__ import annotations
@@ -26,10 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from ..core.job import Instance
-from ..core.power import PowerFunction
-from ..core.schedule import Schedule
-from ..exceptions import BudgetError, ConvergenceError
+from repro.core.job import Instance
+from repro.core.power import PowerFunction
+from repro.core.schedule import Schedule
+from repro.exceptions import BudgetError, ConvergenceError
 
 __all__ = ["ConvexMakespanResult", "convex_laptop_makespan"]
 

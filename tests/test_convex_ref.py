@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.convex_ref import convex_laptop_makespan
 from repro.core import CUBE, Instance
 from repro.exceptions import BudgetError
-from repro.makespan import convex_laptop_makespan, incmerge
+from repro.makespan import incmerge
 
 
 class TestConvexReference:
