@@ -40,13 +40,11 @@ Installed as the ``repro`` console script; also runnable as
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import sys
-import threading
 import time
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -54,12 +52,8 @@ from .analysis import format_table
 from .api import REGISTRY, ProblemSpec, SolveRequest, SolveResult, list_solvers
 from .api import solve as api_solve
 from .api import verify as api_verify
-from .batch import solve_many
-from .cache import ResultCache
-from .cache_store import STORE_BACKENDS, open_store
 from .core import Instance, PolynomialPower
 from .exceptions import ReproError, VerificationError
-from .faults import FaultPlan
 from .io import (
     batch_result_to_dict,
     capabilities_to_dict,
@@ -72,21 +66,16 @@ from .io import (
     result_to_dict,
 )
 from .makespan import makespan_frontier
-from .online.compete import ALGORITHMS, FAMILIES, competitive_sweep
-from .service import DEFAULT_MAX_PENDING, ROUTING_MODES, AsyncServeLoop
-from .sim import (
-    MACHINE_MODEL_NAMES,
-    SIM_ALGORITHMS,
-    TRACE_FAMILIES,
-    generate_trace,
-    load_trace,
-    machine_model,
-    save_trace,
-    scenario_matrix,
-    sim_report_to_dict,
-    simulate,
-)
 from .workloads import FIGURE1_ENERGY_RANGE, figure1_instance, figure1_power
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .cache import ResultCache
+
+# The batch engine, the cache, the simulator, the competitive sweep and the
+# serve loop (with asyncio, sqlite3 and multiprocessing behind them) are
+# imported by the subcommands that use them, and the parsers of ``compete``,
+# ``sim`` and ``serve`` are declared on first use, so the other subcommands
+# load none of that machinery.
 
 __all__ = ["main", "build_parser"]
 
@@ -432,10 +421,14 @@ def _cmd_verify_batch(args: argparse.Namespace) -> int:
 def _cache_from_args(args: argparse.Namespace) -> ResultCache | None:
     if not getattr(args, "cache_dir", None):
         return None
+    from .cache import ResultCache
+
     return ResultCache(directory=args.cache_dir)
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    from .batch import solve_many
+
     instances = _load_checked(load_instances, args.instances)
     power = _power_from_args(args)
     budgets = _parse_floats(args.energy)
@@ -493,6 +486,8 @@ def _write_output(args: argparse.Namespace, payload: dict) -> None:
 
 def _cmd_compete_matrix(args: argparse.Namespace) -> int:
     """The --machines branch: the {trace x machine x algorithm} matrix."""
+    from .sim import TRACE_FAMILIES, scenario_matrix
+
     alphas = _parse_floats(args.alphas) if args.alphas else [3.0]
     if len(alphas) != 1:
         raise ReproError(
@@ -543,6 +538,8 @@ def _cmd_compete_matrix(args: argparse.Namespace) -> int:
 def _cmd_compete(args: argparse.Namespace) -> int:
     if args.machines:
         return _cmd_compete_matrix(args)
+    from .online.compete import FAMILIES, competitive_sweep
+
     payload = competitive_sweep(
         algorithms=[a.strip() for a in args.algorithms.split(",") if a.strip()],
         alphas=_parse_floats(args.alphas) if args.alphas else [2.0, 3.0],
@@ -582,6 +579,16 @@ def _cmd_compete(args: argparse.Namespace) -> int:
 
 def _cmd_sim(args: argparse.Namespace) -> int:
     """Replay one trace through the online policies on a machine model."""
+    from .sim import (
+        TRACE_FAMILIES,
+        generate_trace,
+        load_trace,
+        machine_model,
+        save_trace,
+        sim_report_to_dict,
+        simulate,
+    )
+
     if args.trace:
         trace = load_trace(args.trace)
     elif args.family:
@@ -657,6 +664,9 @@ def _parse_tcp_address(text: str) -> tuple[str, int]:
 
 def _serve_cache(args: argparse.Namespace) -> ResultCache | None:
     """The serve loop's cache per ``--cache-backend`` / ``--cache-dir``."""
+    from .cache import ResultCache
+    from .cache_store import open_store
+
     if args.no_cache:
         return None
     backend = args.cache_backend
@@ -679,6 +689,12 @@ def _serve_cache(args: argparse.Namespace) -> ResultCache | None:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Long-running JSON-lines request loop (stdin/stdout or TCP)."""
+    import asyncio
+    import threading
+
+    from .faults import FaultPlan
+    from .service import AsyncServeLoop
+
     cache = _serve_cache(args)
     fault_plan = None
     if args.fault_plan is not None:
@@ -743,13 +759,32 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 # parser
 # ----------------------------------------------------------------------
 
+class _LazyParser(argparse.ArgumentParser):
+    """A subcommand parser whose arguments may be declared on first use.
+
+    ``declare(parser)`` runs once, just before the parser first parses, so a
+    subcommand whose options name the simulator's or the serve loop's
+    constants imports them only when it is the one being run.
+    """
+
+    def __init__(self, *args, declare=None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._declare = declare
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._declare is not None:
+            declare, self._declare = self._declare, None
+            declare(self)
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for testing and docs)."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Power-aware speed-scaling scheduling (Bunde, SPAA 2006 reproduction)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_LazyParser)
 
     def add_common(p: argparse.ArgumentParser, need_energy: bool = False) -> None:
         p.add_argument("--instance", help="path to a JSON instance file (see repro.io)")
@@ -891,7 +926,50 @@ def build_parser() -> argparse.ArgumentParser:
                     "repro.sim.simulate on each named machine model (static "
                     "power, sleep states, discrete speed ladders), and the "
                     "ratio reported is measured energy over the YDS bound.",
+        declare=_compete_arguments,
     )
+    p.set_defaults(func=_cmd_compete)
+
+    p = sub.add_parser(
+        "sim",
+        help="replay an arrival trace on a realistic machine model",
+        description="Trace-driven discrete-event simulation: replay one "
+                    "arrival trace (a generated family or a .csv/.jsonl file) "
+                    "through the online policies on a machine model with "
+                    "static power, sleep states and discrete speed levels, "
+                    "and report measured energy against the clairvoyant YDS "
+                    "bound.  Exit code 2 flags malformed traces or unknown "
+                    "models.",
+        declare=_sim_arguments,
+    )
+    p.set_defaults(func=_cmd_sim)
+
+    p = sub.add_parser(
+        "serve",
+        help="long-running JSON-lines solve service (stdin/stdout or TCP)",
+        description="Read solve-request JSON envelopes (repro.io.request_to_dict "
+                    "form, one per line) and answer each with a serve-response "
+                    "line: the uniform solve-result envelope plus serving "
+                    "metadata (cache hit/miss, latency).  Errors come back as "
+                    "structured envelopes and the loop keeps serving; EOF or "
+                    "SIGINT shuts down cleanly with a stats line on stderr.",
+        declare=_serve_arguments,
+    )
+    p.set_defaults(func=_cmd_serve)
+
+    p = sub.add_parser("figures", help="regenerate the paper's Figure 1-3 series")
+    p.add_argument("--points", type=int, default=31)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_figures)
+
+    return parser
+
+
+def _compete_arguments(p: argparse.ArgumentParser) -> None:
+    """Declare the ``compete`` options (on first use, see :class:`_LazyParser`)."""
+    from .online.compete import ALGORITHMS, FAMILIES
+    from .sim import MACHINE_MODEL_NAMES, TRACE_FAMILIES
+
     p.add_argument(
         "--algorithms", default=",".join(ALGORITHMS),
         help=f"comma-separated online algorithms (default {','.join(ALGORITHMS)})",
@@ -934,19 +1012,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="content-addressed result cache shared across sweeps: "
                         "overlapping grids pay for each cell once")
     p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
-    p.set_defaults(func=_cmd_compete)
 
-    p = sub.add_parser(
-        "sim",
-        help="replay an arrival trace on a realistic machine model",
-        description="Trace-driven discrete-event simulation: replay one "
-                    "arrival trace (a generated family or a .csv/.jsonl file) "
-                    "through the online policies on a machine model with "
-                    "static power, sleep states and discrete speed levels, "
-                    "and report measured energy against the clairvoyant YDS "
-                    "bound.  Exit code 2 flags malformed traces or unknown "
-                    "models.",
-    )
+
+def _sim_arguments(p: argparse.ArgumentParser) -> None:
+    """Declare the ``sim`` options (on first use, see :class:`_LazyParser`)."""
+    from .sim import MACHINE_MODEL_NAMES, SIM_ALGORITHMS, TRACE_FAMILIES
+
     p.add_argument(
         "--trace",
         help="path to a trace file (.csv or .jsonl/.ndjson, see repro.sim)",
@@ -979,18 +1050,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the JSON payload to this file (deterministic byte-identical reruns)",
     )
     p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
-    p.set_defaults(func=_cmd_sim)
 
-    p = sub.add_parser(
-        "serve",
-        help="long-running JSON-lines solve service (stdin/stdout or TCP)",
-        description="Read solve-request JSON envelopes (repro.io.request_to_dict "
-                    "form, one per line) and answer each with a serve-response "
-                    "line: the uniform solve-result envelope plus serving "
-                    "metadata (cache hit/miss, latency).  Errors come back as "
-                    "structured envelopes and the loop keeps serving; EOF or "
-                    "SIGINT shuts down cleanly with a stats line on stderr.",
-    )
+
+def _serve_arguments(p: argparse.ArgumentParser) -> None:
+    """Declare the ``serve`` options (on first use, see :class:`_LazyParser`)."""
+    from .cache_store import STORE_BACKENDS
+    from .service import DEFAULT_MAX_PENDING, ROUTING_MODES
+
     p.add_argument("--tcp", metavar="[HOST:]PORT",
                    help="serve a TCP socket instead of stdin/stdout "
                         "(port 0 binds an ephemeral port, printed to stderr)")
@@ -1035,14 +1101,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-plan", metavar="FILE",
                    help="JSON fault plan (repro.faults.FaultPlan) injecting "
                         "deterministic chaos — for robustness testing only")
-    p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser("figures", help="regenerate the paper's Figure 1-3 series")
-    p.add_argument("--points", type=int, default=31)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_figures)
-
-    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:

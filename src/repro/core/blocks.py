@@ -266,17 +266,17 @@ def blocks_from_speeds(
     """
     if len(speeds) != instance.n_jobs:
         raise InvalidInstanceError("need one speed per job")
-    releases = instance.releases
-    works = instance.works
+    releases = instance.releases.tolist()
+    works = instance.works.tolist()
+    speeds = [float(s) for s in speeds]
+    last = instance.n_jobs - 1
     ranges: list[tuple[int, int]] = []
     start = 0
-    t = float(releases[0])
+    t = releases[0]
     for j in range(instance.n_jobs):
-        t = max(t, float(releases[j]))
-        t += works[j] / float(speeds[j])
-        is_last = j == instance.n_jobs - 1
-        ends_block = is_last or t <= releases[j + 1] + atol
-        if ends_block:
+        t = max(t, releases[j])
+        t += works[j] / speeds[j]
+        if j == last or t <= releases[j + 1] + atol:
             ranges.append((start, j))
             start = j + 1
     return ranges

@@ -62,6 +62,7 @@ __all__ = [
     "chain_start_times",
     "max_density_interval",
     "interval_work_grid",
+    "jensen_window_bound",
     "stepwise_rate_profile",
     "common_release_prefix_speeds",
     "PaddedBatch",
@@ -239,9 +240,14 @@ def interval_work_grid(
     row at index ``len(grid_r)`` so that searchsorted release indices can be
     used directly (the empty release suffix sums to zero).
 
+    ``works`` may also be ``(n, k)``: each column gets its own grid,
+    ``member_work[a, b, c]``, over one pair of sorted axes, and every column's
+    sums are bitwise those of a one-column call.
+
     This is the shared substrate of the YDS critical-interval kernel
-    (:func:`max_density_interval`) and the vectorised BKP profile
-    (:func:`repro.online.bkp.bkp_speed_profile`): any window work function
+    (:func:`max_density_interval`), the vectorised BKP profile
+    (:func:`repro.online.bkp.bkp_speed_profile`), the Jensen window bound and
+    verify's Hall-condition certificate: any window work function
     ``w(t1, t2)`` with inclusive release/deadline constraints is a difference
     of two entries.
     """
@@ -251,10 +257,29 @@ def interval_work_grid(
 
     grid_r, idx_r = np.unique(releases, return_inverse=True)
     grid_d, idx_d = np.unique(deadlines, return_inverse=True)
-    cell_work = np.zeros((len(grid_r) + 1, len(grid_d)))
+    cell_work = np.zeros((len(grid_r) + 1, len(grid_d)) + works.shape[1:])
     np.add.at(cell_work, (idx_r, idx_d), works)
     member_work = np.cumsum(np.cumsum(cell_work[::-1, :], axis=0)[::-1, :], axis=1)
     return grid_r, grid_d, member_work
+
+
+def jensen_window_bound(
+    grid_r: np.ndarray, grid_d: np.ndarray, member_work: np.ndarray, power: PowerFunction
+) -> float:
+    """Largest ``(t2 - t1) * P(W / (t2 - t1))`` over an :func:`interval_work_grid`.
+
+    ``W`` is the work of the jobs whose windows lie in ``[t1, t2]``; by
+    Jensen's inequality every feasible schedule spends at least this much
+    energy on them (convex ``P`` with ``P(0) = 0``).  ``0.0`` when no window
+    holds work.
+    """
+    work = member_work[:-1]
+    length = grid_d[np.newaxis, :] - grid_r[:, np.newaxis]
+    valid = (length > 0.0) & (work > 0.0)
+    if not valid.any():
+        return 0.0
+    work = work[valid]
+    return float(np.max(energy_eval(power, work, work / length[valid])))
 
 
 def stepwise_rate_profile(

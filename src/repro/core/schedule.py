@@ -183,14 +183,16 @@ class Schedule:
         starts: Sequence[float] | np.ndarray,
         ends: Sequence[float] | np.ndarray,
         speeds: Sequence[float] | np.ndarray,
+        processor: int = 0,
+        n_processors: int | None = None,
     ) -> "Schedule":
         """Build a one-processor schedule from piece columns, building no :class:`Piece`.
 
-        Row ``k`` is the piece ``(jobs[k], 0, starts[k], ends[k], speeds[k])``.
-        The :class:`Piece` rules are checked over whole columns and the first
-        offending row raises that rule's error.  The result equals the
-        schedule built from the same rows as ``Piece`` objects bit for bit;
-        :attr:`pieces` is materialised only if something asks for it.
+        Row ``k`` is the piece ``(jobs[k], processor, starts[k], ends[k],
+        speeds[k])``.  The :class:`Piece` rules are checked over whole columns
+        and the first offending row raises that rule's error.  The result
+        equals the schedule built from the same rows as ``Piece`` objects bit
+        for bit; :attr:`pieces` is materialised only if something asks for it.
         """
         jobs = np.asarray(jobs, dtype=np.intp)
         starts = np.asarray(starts, dtype=float)
@@ -202,6 +204,7 @@ class Schedule:
             raise InvalidScheduleError("a schedule must contain at least one piece")
         bad = (
             (jobs < 0)
+            | (processor < 0)
             | ~(np.isfinite(starts) & np.isfinite(ends))
             | (ends <= starts)
             | ~np.isfinite(speeds)
@@ -210,13 +213,13 @@ class Schedule:
         if bad.any():
             k = int(np.argmax(bad))
             # the Piece constructor raises the offending row's own error
-            Piece(job=int(jobs[k]), processor=0, start=float(starts[k]),
+            Piece(job=int(jobs[k]), processor=processor, start=float(starts[k]),
                   end=float(ends[k]), speed=float(speeds[k]))
         schedule = cls.__new__(cls)
-        schedule._setup(instance, power, 0, None)
+        schedule._setup(instance, power, processor, n_processors)
         schedule._check_job_range(jobs)
         order = np.lexsort((jobs, starts))
-        procs = np.zeros(len(jobs), dtype=np.intp)
+        procs = np.full(len(jobs), processor, dtype=np.intp)
         schedule._pieces = None
         schedule._columns = (jobs[order], procs, starts[order], ends[order], speeds[order])
         return schedule
@@ -237,6 +240,7 @@ class Schedule:
         at the later of its release time and the previous job's completion, and
         running contiguously at its given speed.  This is the schedule shape
         used by every optimal uniprocessor solution in the paper (Lemmas 2-4).
+        Built as columns (:meth:`from_columns`), with no :class:`Piece`.
         """
         if len(speeds) != instance.n_jobs:
             raise InvalidScheduleError(
@@ -252,17 +256,10 @@ class Schedule:
         clock = instance.first_release if start_time is None else float(start_time)
         durations = instance.works / speeds_arr
         starts, ends = chain_start_times(instance.releases, durations, clock)
-        pieces = [
-            Piece(
-                job=j,
-                processor=processor,
-                start=float(starts[j]),
-                end=float(ends[j]),
-                speed=float(speeds_arr[j]),
-            )
-            for j in range(instance.n_jobs)
-        ]
-        return cls(instance, power, pieces, n_processors=n_processors)
+        return cls.from_columns(
+            instance, power, np.arange(instance.n_jobs), starts, ends, speeds_arr,
+            processor=processor, n_processors=n_processors,
+        )
 
     @classmethod
     def from_processor_speeds(

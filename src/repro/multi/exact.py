@@ -10,7 +10,9 @@ solvers are the best available certificates.  Two regimes are covered:
 
       ``T = (sum_p W_p**alpha / E) ** (1/(alpha-1))``            (power = s**alpha)
 
-  and more generally the ``T`` at which ``sum_p energy(W_p, W_p/T) = E``.
+  and more generally the ``T`` at which ``sum_p energy(W_p, W_p/T) = E`` (a
+  processor that would run below a leakage power's critical speed runs at
+  that speed instead and finishes early).
   Minimising ``T`` is therefore exactly minimising ``sum_p W_p**alpha`` -- the
   ``L_alpha`` norm objective the paper points at for the PTAS remark.
 * **Arbitrary release times**: every assignment is evaluated with the
@@ -78,7 +80,12 @@ def makespan_for_loads(
 
     For ``power = speed**alpha`` this is the closed form
     ``(sum_p W_p**alpha / E)**(1/(alpha-1))``; otherwise the equation
-    ``sum_p energy(W_p, W_p/T) = E`` is solved by bracketed root finding.
+    ``sum_p energy(W_p, max(W_p/T, s_crit)) = E`` is solved by bracketed root
+    finding.  Below a leakage power's critical speed ``s_crit`` energy per
+    unit of work rises again, so a processor whose load would run slower
+    runs at ``s_crit`` and finishes early; the least energy any finish time
+    needs is ``sum_p energy(W_p, s_crit)``, and a smaller budget raises
+    :class:`BudgetError`.
     """
     loads = [float(w) for w in loads if w > 0.0]
     if not loads:
@@ -90,19 +97,35 @@ def makespan_for_loads(
         return float(
             (sum(w**alpha for w in loads) / energy_budget) ** (1.0 / (alpha - 1.0))
         )
+    floor = _critical_speed(power)
 
     def energy_at(T: float) -> float:
-        return sum(power.energy(w, w / T) for w in loads)
+        return sum(power.energy(w, max(w / T, floor)) for w in loads)
 
-    hi = 1.0
-    while energy_at(hi) > energy_budget:
-        hi *= 2.0
-        if hi > 1e18:
-            raise InfeasibleError("could not bracket the common finish time")
+    if floor > 0.0:
+        # from here on every processor runs at the critical speed
+        hi = max(loads) / floor
+        least = energy_at(hi)
+        if energy_budget < least:
+            raise BudgetError(
+                f"energy budget {energy_budget:g} is below {least:g}, the least "
+                "energy these loads need (every processor at the critical speed)"
+            )
+    else:
+        hi = 1.0
+        while energy_at(hi) > energy_budget:
+            hi *= 2.0
+            if hi > 1e18:
+                raise InfeasibleError("could not bracket the common finish time")
     lo = hi / 2.0
     while energy_at(lo) < energy_budget and lo > 1e-18:
         lo /= 2.0
     return brentq(lambda T: energy_at(T) - energy_budget, lo, hi, xtol=1e-14)
+
+
+def _critical_speed(power: PowerFunction) -> float:
+    """The speed below which ``power`` stops saving energy per unit of work (0 if none)."""
+    return float(getattr(power, "critical_speed", 0.0))
 
 
 def optimal_load_partition(
@@ -165,12 +188,14 @@ def exact_zero_release_makespan(
     mapping: dict[int, list[int]] = {}
     for job, proc in enumerate(best_assignment):
         mapping.setdefault(proc, []).append(job)
-    # per-job speeds: each processor runs its load at constant speed load / T
+    # per-job speeds: each processor runs its load at constant speed load / T,
+    # or at the critical speed when that is faster (finishing before T)
     speeds = np.empty(instance.n_jobs)
     per_proc_energy: dict[int, float] = {}
+    floor = _critical_speed(power)
     for proc, jobs in mapping.items():
         load = float(sum(works[j] for j in jobs))
-        speed = load / best_T
+        speed = max(load / best_T, floor)
         for j in jobs:
             speeds[j] = speed
         per_proc_energy[proc] = power.energy(load, speed)

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..core.job import Instance
+from ..core.kernels import interval_work_grid, jensen_window_bound
 from ..core.power import PowerFunction
 from ..core.schedule import Schedule
 from ..exceptions import InvalidInstanceError
@@ -36,27 +35,17 @@ def jensen_energy_lower_bound(instance: Instance, power: PowerFunction) -> float
 
     Valid for every convex power function with ``P(0) = 0``; recomputed
     independently by the ``error-bound`` certificate checker, so the solver
-    cannot overstate its own accuracy.
+    cannot overstate its own accuracy.  One expression over the cumulative
+    work grid of :func:`~repro.core.kernels.interval_work_grid`.
     """
     if not instance.has_deadlines():
         raise InvalidInstanceError(
             "the Jensen window bound requires every job to carry a deadline"
         )
-    releases = instance.releases
-    deadlines = instance.deadlines
-    works = instance.works
-    best = 0.0
-    for t1 in np.unique(releases):
-        inside_left = releases >= t1
-        for t2 in np.unique(deadlines):
-            window = float(t2 - t1)
-            if window <= 0.0:
-                continue
-            work = float(works[inside_left & (deadlines <= t2)].sum())
-            if work <= 0.0:
-                continue
-            best = max(best, power.energy(work, work / window))
-    return float(best)
+    grid_r, grid_d, member = interval_work_grid(
+        instance.releases, instance.deadlines, instance.works
+    )
+    return jensen_window_bound(grid_r, grid_d, member, power)
 
 
 def anytime_min_energy(

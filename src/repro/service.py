@@ -69,6 +69,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from importlib import import_module
 from typing import Any, Awaitable, Callable, Iterable, TextIO
 
 # numpy's np.unique imports numpy.ma on its first call (~16 ms); a server
@@ -262,6 +263,9 @@ class AsyncServeLoop:
                 f"routing must be one of {ROUTING_MODES}, got {routing!r}"
             )
         REGISTRY.names()  # import every solver module now, not on a first request
+        if verify:
+            # the competitive-ratio certificate reads its bounds from here
+            import_module("repro.online.compete")
         self.routing = routing
         self.cache = cache
         self.verify = verify

@@ -13,10 +13,19 @@ kinds mirror the paper's own optimality witnesses:
   block speeds), via :mod:`repro.verify.structure`.
 * ``yds-density``        -- the YDS witness: the offline optimum's peak speed
   equals the maximum density over all release/deadline windows, and its
-  energy matches an independent YDS recomputation.
+  energy is ``OPT``.  Feasible speeds are the YDS optimum iff, for every
+  distinct speed ``v``, the processing time of the jobs with ``s_j >= v``
+  fills the union of their windows (the KKT conditions of Bansal, Kimbrel
+  and Pruhs); those level sets give a lower bound on ``OPT`` that meets the
+  speeds' own energy exactly then, so a passing answer needs no re-solve.
+  Otherwise the maximum-density window and a YDS re-solve decide.
 * ``competitive-ratio``  -- the online guarantee: reported energy lies in
-  ``[OPT, bound(alpha) * OPT]`` where ``OPT`` is an offline YDS re-solve and
-  ``bound`` is the algorithm's theoretical ratio (alpha^alpha for OA, ...).
+  ``[OPT, bound(alpha) * OPT]`` where ``bound`` is the algorithm's
+  theoretical ratio (alpha^alpha for OA, ...).  Both sides are settled
+  without ``OPT`` when the energy of the answer's speeds scaled to
+  feasibility (``>= OPT``) and ``bound`` times the Jensen window bound
+  (``<= OPT``) enclose the reported energy; otherwise against a YDS
+  re-solve.
 * ``frontier-shape``     -- the non-dominated trade-off curve is sorted,
   monotone non-increasing and convex in the energy budget (Figures 1-3).
 * ``flow-structure``     -- Theorem 1's boundary relations on equal-work flow
@@ -28,9 +37,14 @@ kinds mirror the paper's own optimality witnesses:
   ``epsilon`` into ``result.approximation``; the checker recomputes the
   underlying lower bound (Schur-convexity load relaxation for the PTAS,
   secant-envelope geometry for coarse frontier samples, the Jensen window
-  bound for anytime YDS cuts, a full YDS re-solve for escalated exact
-  answers) and confirms the answer really is within ``(1 + epsilon)`` of it
-  — and within the accuracy the request asked for.
+  bound for anytime YDS cuts, the ``yds-density`` level-set test — with a
+  YDS re-solve when it cannot decide — for escalated exact answers) and
+  confirms the answer really is within ``(1 + epsilon)`` of it — and within
+  the accuracy the request asked for.
+
+A certificate that settles a check without recomputation passes only with
+margin (half the check's tolerance); anything else runs the recomputation,
+which also writes the findings, so reports do not depend on which path ran.
 
 Checkers degrade to ``warning``-severity ``certificate-skipped`` findings
 when the inputs leave the theorem's model (e.g. a non-polynomial power
@@ -49,7 +63,7 @@ from typing import Callable
 import numpy as np
 
 from .report import Finding
-from .structural import VerificationContext
+from .structural import _MARGIN, VerificationContext
 
 __all__ = ["CHECKERS", "checker"]
 
@@ -86,6 +100,97 @@ def _yds_optimal_energy(ctx: VerificationContext) -> float:
     speeds = yds_speeds(ctx.request.instance).speeds
     return float(
         np.sum(energy_eval(ctx.request.power, ctx.request.instance.works, speeds))
+    )
+
+
+def _level_set_bound(
+    releases: np.ndarray,
+    deadlines: np.ndarray,
+    works: np.ndarray,
+    speeds: np.ndarray,
+    alpha: float,
+) -> tuple[float, float] | None:
+    """A lower bound on ``OPT`` from the speeds' level sets, with its top rate.
+
+    Level ``i`` holds the jobs at the ``i``-th largest speed (speeds within
+    ``1e-9`` of each other count as one); its layer is the part of the union
+    of the windows of levels ``0..i`` that no faster level covers.  Every
+    schedule runs the work of levels ``0..i`` inside that union, so with
+    ``x_i`` = level work / layer length, non-increasing in ``i``,
+    ``sum_i layer_i * x_i**alpha`` is at most ``OPT`` (Jensen on each
+    layer).  For the YDS speeds each layer is exactly filled, ``x_i`` is the
+    level's speed and the bound is their energy.  ``None`` when a layer is
+    empty or the rates rise.
+    """
+    order = np.argsort(-speeds, kind="stable")
+    ordered = speeds[order]
+    # speeds equal up to rounding share a level: YDS may split one density
+    # over several rounds, each computed on its own collapsed timeline
+    split = np.empty(len(speeds), dtype=bool)
+    split[0] = True
+    np.less(ordered[1:], ordered[:-1] * (1.0 - 1e-9), out=split[1:])
+    level = np.empty(len(speeds), dtype=np.intp)
+    level[order] = np.cumsum(split) - 1
+    k = int(level[order[-1]]) + 1
+    # elementary segments between consecutive event times (repeated times
+    # give empty segments, which add nothing)
+    times = np.sort(np.concatenate([releases, deadlines]))
+    lo, hi = times[:-1], times[1:]
+    covers = (releases[:, np.newaxis] <= lo) & (deadlines[:, np.newaxis] >= hi)
+    fastest = np.where(covers, level[:, np.newaxis], k).min(axis=0)
+    layer = np.bincount(fastest, weights=hi - lo, minlength=k + 1)[:k]
+    if not np.all(layer > 0.0):
+        return None
+    rate = np.bincount(level, weights=works, minlength=k) / layer
+    if np.any(rate[1:] > rate[:-1] * (1.0 + 1e-9)):
+        return None
+    return float(np.sum(layer * rate**alpha)), float(rate[0])
+
+
+def _yds_certified(ctx: VerificationContext) -> bool:
+    """The speeds are the YDS optimum to ``1e-9``: ``OPT`` is their energy.
+
+    ``OPT`` lies between the level-set bound and the energy of the speeds
+    scaled to feasibility, and both that energy and the speeds' own lie
+    within ``0.5e-9`` of the bound.  The peak speed is then the maximum
+    window density within half the density check's tolerance: the density
+    lies between the top level's rate and the peak speed times
+    ``1 + stretch``.
+    """
+    witness = ctx.witness
+    power = ctx.request.power
+    if witness is None or not power.is_polynomial:
+        return False
+    instance = ctx.request.instance
+    speeds = ctx.result.speeds
+    found = _level_set_bound(
+        instance.releases, instance.deadlines, instance.works, speeds, power.alpha
+    )
+    if found is None:
+        return False
+    lower, top_rate = found
+    return (
+        witness.feasible_energy(power.alpha) <= lower * (1.0 + 0.5e-9)
+        and witness.energy >= lower * (1.0 - 0.5e-9)
+        and witness.stretch <= _MARGIN * 1e-6
+        and top_rate >= float(np.max(speeds)) * (1.0 - _MARGIN * 1e-6)
+    )
+
+
+def _ratio_certified(ctx: VerificationContext, bound: float) -> bool:
+    """``OPT <= energy <= bound * OPT`` with margin, settled without ``OPT``.
+
+    ``OPT`` is at most the energy of the answer's speeds scaled to
+    feasibility and at least the Jensen window bound.
+    """
+    witness = ctx.witness
+    if witness is None:
+        return False
+    power = ctx.request.power
+    energy = ctx.result.energy
+    return (
+        energy >= witness.feasible_energy(power.alpha) * (1.0 - _MARGIN * 1e-6)
+        and energy <= bound * witness.jensen(power) * (1.0 + _MARGIN * 1e-6)
     )
 
 
@@ -201,7 +306,11 @@ def check_structure_certificate(ctx: VerificationContext) -> list[Finding]:
 
 @checker("yds-density")
 def check_yds_density(ctx: VerificationContext) -> list[Finding]:
-    """The YDS witness: peak speed = max window density, energy = recomputed OPT."""
+    """The YDS witness: peak speed = max window density, energy = OPT.
+
+    Settled by the level sets when they certify the speeds; otherwise the
+    maximum-density window and a YDS re-solve decide.
+    """
     from ..core.kernels import max_density_interval
 
     findings: list[Finding] = []
@@ -209,6 +318,13 @@ def check_yds_density(ctx: VerificationContext) -> list[Finding]:
     speeds = ctx.result.speeds
     if speeds is None or speeds.shape != (instance.n_jobs,):
         return _skipped("yds-density", "no per-job speeds to certify")
+
+    energy = ctx.result.energy
+    if _yds_certified(ctx) and (
+        energy is None
+        or math.isclose(energy, ctx.witness.energy, rel_tol=_MARGIN * 1e-6)
+    ):
+        return findings
 
     found = max_density_interval(
         instance.releases, instance.deadlines, instance.works
@@ -230,7 +346,6 @@ def check_yds_density(ctx: VerificationContext) -> list[Finding]:
             )
 
     optimal = _yds_optimal_energy(ctx)
-    energy = ctx.result.energy
     if energy is not None:
         if energy > optimal * (1.0 + 1e-6) + 1e-9:
             findings.append(
@@ -265,7 +380,11 @@ def check_yds_density(ctx: VerificationContext) -> list[Finding]:
 
 @checker("competitive-ratio")
 def check_competitive_ratio(ctx: VerificationContext) -> list[Finding]:
-    """Reported energy lies in ``[OPT, bound(alpha) * OPT]`` vs a YDS re-solve."""
+    """Reported energy lies in ``[OPT, bound(alpha) * OPT]``.
+
+    Settled by bounds on ``OPT`` when they suffice; otherwise against a YDS
+    re-solve.
+    """
     findings: list[Finding] = []
     power = ctx.request.power
     if not power.is_polynomial:
@@ -283,8 +402,10 @@ def check_competitive_ratio(ctx: VerificationContext) -> list[Finding]:
     if energy is None:
         return _skipped("competitive-ratio", "result reports no energy")
 
-    optimal = _yds_optimal_energy(ctx)
     bound = float(bound_fn(power.alpha))
+    if _ratio_certified(ctx, bound):
+        return findings
+    optimal = _yds_optimal_energy(ctx)
     if energy < optimal * (1.0 - 1e-6) - 1e-9:
         findings.append(
             Finding(
@@ -608,7 +729,12 @@ def _check_jensen_gap(ctx: VerificationContext, epsilon: float) -> list[Finding]
         return [
             _approx_finding("approximation-invalid", "jensen-gap result has no energy")
         ]
-    lower = jensen_energy_lower_bound(ctx.request.instance, ctx.request.power)
+    witness = ctx.witness
+    if witness is not None:
+        # the same grid as Hall's condition, so the same bound bit for bit
+        lower = witness.jensen(ctx.request.power)
+    else:
+        lower = jensen_energy_lower_bound(ctx.request.instance, ctx.request.power)
     findings: list[Finding] = []
     if energy < lower * (1.0 - 1e-9) - 1e-12:
         findings.append(
@@ -637,6 +763,10 @@ def _check_yds_exact(ctx: VerificationContext, epsilon: float) -> list[Finding]:
         return [
             _approx_finding("approximation-invalid", "yds-exact result has no energy")
         ]
+    if _yds_certified(ctx) and math.isclose(
+        energy, ctx.witness.energy, rel_tol=_MARGIN * 1e-6
+    ):
+        return []
     optimal = _yds_optimal_energy(ctx)
     if not math.isclose(energy, optimal, rel_tol=1e-6, abs_tol=1e-9):
         return [

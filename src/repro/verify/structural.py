@@ -23,16 +23,28 @@ imply the canonical run-in-release-order schedule
 (:meth:`~repro.core.schedule.Schedule.from_speeds`), the deadline solvers an
 EDF realisation of the per-job speeds, and the multiprocessor solvers replay
 the assignment reported in ``extras``.
+
+The deadline family is first checked without a schedule, by the array
+certificates of :class:`DeadlineWitness`.  Preemptive EDF at fixed speeds
+meets every deadline iff every release/deadline window holds at most its
+length of processing time (Hall's condition), and EDF's largest lateness is
+the largest excess; the energy of per-job constant speeds is
+``sum_j energy(w_j, s_j)``.  A certificate passes only with margin (half the
+tolerance of the check it stands for); otherwise the EDF schedule is rebuilt
+and checked as data, so every report, failing ones included, is the one the
+schedule gives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..core.kernels import energy_eval, interval_work_grid, jensen_window_bound
 from ..core.schedule import Schedule
 from ..exceptions import ReproError
 from .report import Finding
@@ -51,6 +63,13 @@ __all__ = [
 #: Absolute slack for time comparisons (release/deadline/overlap); matches the
 #: schedule layer's own feasibility epsilon scaled up for EDF reconstruction.
 _TIME_EPS = 1e-6
+
+#: Relative slack of the per-job work check (``check_schedule``'s default).
+_WORK_RTOL = 1e-6
+
+#: A certificate passes only within this share of the tolerance of the check
+#: it stands in for; the rest covers the rounding of the rebuilt schedule.
+_MARGIN = 0.5
 
 
 @dataclass
@@ -85,6 +104,11 @@ class VerificationContext:
         """Why reconstruction failed, if it did."""
         self.schedule  # force the attempt
         return self._schedule_error
+
+    @cached_property
+    def witness(self) -> "DeadlineWitness | None":
+        """The deadline family's array certificates (``None`` where they cannot decide)."""
+        return deadline_witness(self.request, self.result, self.capabilities)
 
 
 def _isclose(a: float, b: float, rtol: float) -> bool:
@@ -233,109 +257,226 @@ def reconstruct_schedule(
 
 
 # ----------------------------------------------------------------------
+# deadline-family certificates
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class DeadlineWitness:
+    """Array certificates for per-job speeds realised under EDF.
+
+    ``excess`` is the largest ``sum p_j - (b - a)`` over the non-empty
+    release/deadline windows ``[a, b]`` (``p_j = w_j / s_j``, summed over the
+    jobs with ``a <= r_j`` and ``d_j <= b``): EDF's largest lateness.
+    ``stretch`` is the largest such excess relative to ``b - a`` (at least
+    0), so the speeds scaled by ``1 + stretch`` are feasible.  ``energy`` is
+    ``sum_j energy(w_j, s_j)``.  ``rounding`` bounds how far, relative to the
+    shortest processing time, the rebuilt EDF schedule may round away from
+    these sums.  ``grid`` is the
+    two-column (processing time, work) window grid the Jensen bound reads.
+    """
+
+    energy: float
+    excess: float
+    stretch: float
+    rounding: float
+    grid: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    def feasible_energy(self, alpha: float) -> float:
+        """Energy of the speeds scaled to feasibility (``>= OPT``), for ``P = s**alpha``."""
+        return self.energy * (1.0 + self.stretch) ** (alpha - 1.0)
+
+    def jensen(self, power) -> float:
+        """The Jensen window bound (``<= OPT``) over the same grid."""
+        grid_r, grid_d, member = self.grid
+        return jensen_window_bound(grid_r, grid_d, member[..., 1], power)
+
+
+def deadline_witness(
+    request: "SolveRequest",
+    result: "SolveResult",
+    capabilities: "SolverCapabilities",
+) -> DeadlineWitness | None:
+    """Certificates for an EDF-realised answer, or ``None`` where they cannot decide.
+
+    They apply to the single-processor energy solvers when every job has a
+    finite deadline and positive work, the speeds are finite and positive,
+    and the rebuilt schedule's rounding (one per EDF piece, at most ``2n``
+    pieces) stays a tenth of the time and work tolerances.
+    """
+    if capabilities.objective != "energy" or capabilities.multiprocessor:
+        return None
+    instance = request.instance
+    speeds = result.speeds
+    if speeds is None or speeds.shape != (instance.n_jobs,) or not instance.has_deadlines():
+        return None
+    works = instance.works
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        processing = works / speeds
+    if not np.all(np.isfinite(processing) & (processing > 0.0)):
+        return None
+    deadlines = instance.deadlines
+    horizon = float(deadlines.max() + processing.sum())
+    drift = 2 * instance.n_jobs * (8 * np.finfo(float).eps * horizon + 1e-12)
+    rounding = drift / float(processing.min())
+    if drift > 0.1 * _TIME_EPS or rounding > 0.1 * _WORK_RTOL:
+        return None
+    try:
+        energy = float(np.sum(energy_eval(request.power, works, speeds)))
+    except ReproError:
+        return None
+    columns = np.empty((instance.n_jobs, 2))
+    columns[:, 0] = processing
+    columns[:, 1] = works
+    grid_r, grid_d, member = interval_work_grid(instance.releases, deadlines, columns)
+    load = member[:-1, :, 0]
+    windows = load > 0.0
+    length = (grid_d[np.newaxis, :] - grid_r[:, np.newaxis])[windows]
+    excess = load[windows] - length
+    return DeadlineWitness(
+        energy=energy,
+        excess=float(excess.max()),
+        stretch=max(0.0, float(np.max(excess / length))),
+        rounding=rounding,
+        grid=(grid_r, grid_d, member),
+    )
+
+
+def _hall_certified(ctx: VerificationContext) -> bool:
+    """EDF at the answer's speeds meets every deadline, with margin."""
+    witness = ctx.witness
+    return witness is not None and witness.excess <= _MARGIN * _TIME_EPS
+
+
+def _energy_certified(ctx: VerificationContext) -> bool:
+    """The reported energy passes the accounting check against the constant-speed energy."""
+    witness = ctx.witness
+    energy = ctx.result.energy
+    if witness is None or energy is None or witness.rounding > 0.1 * _MARGIN * ctx.rtol:
+        return False
+    caps = ctx.capabilities
+    if caps.online or caps.approximate:
+        return energy >= witness.energy * (1.0 - _MARGIN * ctx.rtol)
+    return math.isclose(energy, witness.energy, rel_tol=_MARGIN * ctx.rtol)
+
+
+# ----------------------------------------------------------------------
 # feasibility
 # ----------------------------------------------------------------------
 
 def check_schedule(
     schedule: Schedule,
     check_deadlines: bool | None = None,
-    work_rtol: float = 1e-6,
+    work_rtol: float = _WORK_RTOL,
 ) -> list[Finding]:
     """Feasibility of a schedule as data, reported as structured findings.
 
     The same conditions :meth:`Schedule.validate` enforces, but emitted as
     :class:`Finding` objects (one per violated job/pair) instead of raising on
     the first problem.  ``check_deadlines`` defaults to "check jobs that carry
-    one".
+    one".  Reads :attr:`Schedule.columns`; a job's scheduled work is added up
+    in piece order, with the built-in ``sum`` where it has several pieces.
     """
     findings: list[Finding] = []
     instance = schedule.instance
-    by_job: list[list] = [[] for _ in range(instance.n_jobs)]
-    for piece in schedule.pieces:
-        if piece.job < instance.n_jobs:
-            by_job[piece.job].append(piece)
+    n = instance.n_jobs
+    jobs, procs, starts, ends, speeds = schedule.columns
+    count = np.bincount(jobs, minlength=n)
+    work = speeds * (ends - starts)
+    done = np.bincount(jobs, weights=work, minlength=n)
+    for j in np.flatnonzero(count > 1).tolist():
+        done[j] = sum(work[jobs == j].tolist())
+    first = np.full(n, math.inf)
+    last = np.full(n, -math.inf)
+    np.minimum.at(first, jobs, starts)
+    np.maximum.at(last, jobs, ends)
+    required = instance.works
+    releases = instance.releases
+    deadlines = instance.deadlines
+    # math.isclose(done, required, rel_tol=work_rtol, abs_tol=1e-9), per job
+    mismatch = ~(
+        np.abs(done - required)
+        <= np.maximum(work_rtol * np.maximum(np.abs(done), np.abs(required)), 1e-9)
+    )
+    early = first < releases - _TIME_EPS
+    late = np.isfinite(deadlines) & (last > deadlines + _TIME_EPS)
+    if check_deadlines is not None and not check_deadlines:
+        late[:] = False
 
-    for job, pieces in zip(instance.jobs, by_job):
-        if not pieces:
+    for j in np.flatnonzero((count == 0) | mismatch | early | late).tolist():
+        if count[j] == 0:
             findings.append(
                 Finding(
                     code="job-unscheduled",
                     check="feasibility",
-                    message=f"job {job.index} has no execution pieces",
-                    data={"job": job.index},
+                    message=f"job {j} has no execution pieces",
+                    data={"job": j},
                 )
             )
             continue
-        done = sum(p.work for p in pieces)
-        if not math.isclose(done, job.work, rel_tol=work_rtol, abs_tol=1e-9):
+        if mismatch[j]:
+            scheduled, needed = float(done[j]), float(required[j])
             findings.append(
                 Finding(
                     code="work-mismatch",
                     check="feasibility",
                     message=(
-                        f"job {job.index}: scheduled work {done:g} != required "
-                        f"{job.work:g}"
+                        f"job {j}: scheduled work {scheduled:g} != required "
+                        f"{needed:g}"
                     ),
-                    data={"job": job.index, "scheduled": done, "required": job.work},
+                    data={"job": j, "scheduled": scheduled, "required": needed},
                 )
             )
-        start = min(p.start for p in pieces)
-        if start < job.release - _TIME_EPS:
+        if early[j]:
+            start, release = float(first[j]), float(releases[j])
             findings.append(
                 Finding(
                     code="release-violated",
                     check="feasibility",
                     message=(
-                        f"job {job.index} starts at {start:g} before its release "
-                        f"{job.release:g}"
+                        f"job {j} starts at {start:g} before its release "
+                        f"{release:g}"
                     ),
-                    data={"job": job.index, "start": start, "release": job.release},
+                    data={"job": j, "start": start, "release": release},
                 )
             )
-        deadline_applies = (
-            job.deadline is not None
-            if check_deadlines is None
-            else (check_deadlines and job.deadline is not None)
-        )
-        if deadline_applies:
-            end = max(p.end for p in pieces)
-            if end > job.deadline + _TIME_EPS:
-                findings.append(
-                    Finding(
-                        code="deadline-missed",
-                        check="feasibility",
-                        message=(
-                            f"job {job.index} finishes at {end:g} after its "
-                            f"deadline {job.deadline:g}"
-                        ),
-                        data={"job": job.index, "end": end, "deadline": job.deadline},
-                    )
+        if late[j]:
+            end, deadline = float(last[j]), float(deadlines[j])
+            findings.append(
+                Finding(
+                    code="deadline-missed",
+                    check="feasibility",
+                    message=(
+                        f"job {j} finishes at {end:g} after its "
+                        f"deadline {deadline:g}"
+                    ),
+                    data={"job": j, "end": end, "deadline": deadline},
                 )
+            )
 
-    by_proc: dict[int, list] = {}
-    for piece in schedule.pieces:
-        by_proc.setdefault(piece.processor, []).append(piece)
-    for proc, pieces in by_proc.items():
-        pieces.sort(key=lambda p: p.start)
-        for a, b in zip(pieces, pieces[1:]):
-            if b.start < a.end - _TIME_EPS:
-                findings.append(
-                    Finding(
-                        code="pieces-overlap",
-                        check="feasibility",
-                        message=(
-                            f"processor {proc}: pieces overlap "
-                            f"([{a.start:g},{a.end:g}] job {a.job} and "
-                            f"[{b.start:g},{b.end:g}] job {b.job})"
-                        ),
-                        data={"processor": proc, "jobs": [a.job, b.job]},
-                    )
-                )
+    # columns are sorted by (processor, start, job): neighbours on one
+    # processor are the pairs to compare
+    clash = (procs[1:] == procs[:-1]) & (starts[1:] < ends[:-1] - _TIME_EPS)
+    for k in np.flatnonzero(clash).tolist():
+        proc, a, b = int(procs[k]), k, k + 1
+        findings.append(
+            Finding(
+                code="pieces-overlap",
+                check="feasibility",
+                message=(
+                    f"processor {proc}: pieces overlap "
+                    f"([{float(starts[a]):g},{float(ends[a]):g}] job {int(jobs[a])} and "
+                    f"[{float(starts[b]):g},{float(ends[b]):g}] job {int(jobs[b])})"
+                ),
+                data={"processor": proc, "jobs": [int(jobs[a]), int(jobs[b])]},
+            )
+        )
     return findings
 
 
 def check_feasibility(ctx: VerificationContext) -> list[Finding]:
     """Feasibility of the reconstructed schedule (capability-aware)."""
+    if _hall_certified(ctx):
+        return []
     schedule = ctx.schedule
     if schedule is None:
         if ctx.schedule_error is not None:
@@ -359,48 +500,60 @@ def check_feasibility(ctx: VerificationContext) -> list[Finding]:
 # accounting
 # ----------------------------------------------------------------------
 
+def _energy_findings(ctx: VerificationContext, derived_energy: float) -> list[Finding]:
+    """The reported energy against the energy of the rebuilt schedule."""
+    result = ctx.result
+    caps = ctx.capabilities
+    if result.energy is None:
+        return []
+    if caps.online or (caps.approximate and caps.objective == "energy"):
+        # only the work-weighted average speeds survive in the envelope
+        # (true for the online algorithms and for approximate deadline
+        # solvers whose anytime cut runs jobs at varying speed); by
+        # convexity the constant-speed realisation is an energy lower
+        # bound, with equality exactly for single-speed-per-job schedules
+        if result.energy < derived_energy * (1.0 - ctx.rtol) - 1e-9:
+            return [
+                Finding(
+                    code="energy-below-schedule-bound",
+                    check="accounting",
+                    message=(
+                        f"reported energy {result.energy:g} is below the "
+                        f"convexity lower bound {derived_energy:g} implied "
+                        "by the reported speeds"
+                    ),
+                    data={"reported": result.energy, "bound": derived_energy},
+                )
+            ]
+    elif not _isclose(result.energy, derived_energy, ctx.rtol):
+        return [
+            Finding(
+                code="energy-mismatch",
+                check="accounting",
+                message=(
+                    f"reported energy {result.energy:g} != energy "
+                    f"{derived_energy:g} re-derived from the speeds"
+                ),
+                data={"reported": result.energy, "derived": derived_energy},
+            )
+        ]
+    return []
+
+
 def check_accounting(ctx: VerificationContext) -> list[Finding]:
-    """Re-derive energy and objective value from the schedule at tolerance."""
+    """Re-derive energy and objective value from the schedule at tolerance.
+
+    For the deadline family the energy is settled without a schedule when
+    the constant-speed energy certifies it (:class:`DeadlineWitness`).
+    """
     findings: list[Finding] = []
     result = ctx.result
     caps = ctx.capabilities
-    schedule = ctx.schedule
-    if schedule is None:
-        return findings
-
-    derived_energy = schedule.energy
-    if result.energy is not None:
-        if caps.online or (caps.approximate and caps.objective == "energy"):
-            # only the work-weighted average speeds survive in the envelope
-            # (true for the online algorithms and for approximate deadline
-            # solvers whose anytime cut runs jobs at varying speed); by
-            # convexity the constant-speed realisation is an energy lower
-            # bound, with equality exactly for single-speed-per-job schedules
-            if result.energy < derived_energy * (1.0 - ctx.rtol) - 1e-9:
-                findings.append(
-                    Finding(
-                        code="energy-below-schedule-bound",
-                        check="accounting",
-                        message=(
-                            f"reported energy {result.energy:g} is below the "
-                            f"convexity lower bound {derived_energy:g} implied "
-                            "by the reported speeds"
-                        ),
-                        data={"reported": result.energy, "bound": derived_energy},
-                    )
-                )
-        elif not _isclose(result.energy, derived_energy, ctx.rtol):
-            findings.append(
-                Finding(
-                    code="energy-mismatch",
-                    check="accounting",
-                    message=(
-                        f"reported energy {result.energy:g} != energy "
-                        f"{derived_energy:g} re-derived from the speeds"
-                    ),
-                    data={"reported": result.energy, "derived": derived_energy},
-                )
-            )
+    if not _energy_certified(ctx):
+        schedule = ctx.schedule
+        if schedule is None:
+            return findings
+        findings.extend(_energy_findings(ctx, schedule.energy))
 
     value = result.value
     if value is None:
@@ -436,6 +589,7 @@ def check_accounting(ctx: VerificationContext) -> list[Finding]:
                 )
             )
     else:
+        schedule = ctx.schedule
         derived_value = (
             schedule.makespan if objective == "makespan" else schedule.total_flow
         )

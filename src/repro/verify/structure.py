@@ -63,42 +63,26 @@ def check_optimal_structure(schedule: Schedule, rtol: float = 1e-6) -> Structure
 
     The schedule must use a single processor; multi-processor schedules raise
     :class:`InvalidScheduleError` (apply the check per processor instead).
+    Reads :attr:`Schedule.columns`, which are sorted by start time.
     """
-    procs = {p.processor for p in schedule.pieces}
-    if len(procs) != 1:
+    jobs, procs, starts, ends, _ = schedule.columns
+    if procs[0] != procs[-1]:
         raise InvalidScheduleError(
             "structure checks apply to uniprocessor schedules; "
-            f"this schedule uses processors {sorted(procs)}"
+            f"this schedule uses processors {np.unique(procs).tolist()}"
         )
     instance = schedule.instance
-    pieces_by_job: dict[int, list] = {}
-    for piece in schedule.pieces:
-        pieces_by_job.setdefault(piece.job, []).append(piece)
 
     # Lemma 2: single speed (and contiguous execution) per job.
-    single_speed = True
-    for job_pieces in pieces_by_job.values():
-        speeds = {round(p.speed, 12) for p in job_pieces}
-        if len(speeds) > 1 or len(job_pieces) > 1:
-            single_speed = False
-            break
+    single_speed = bool(np.bincount(jobs).max() == 1)
 
     # Lemma 3: release order == execution order.
-    ordered = sorted(schedule.pieces, key=lambda p: p.start)
-    job_sequence = []
-    for piece in ordered:
-        if not job_sequence or job_sequence[-1] != piece.job:
-            job_sequence.append(piece.job)
-    release_order = job_sequence == sorted(job_sequence)
+    runs = jobs[np.concatenate(([True], jobs[1:] != jobs[:-1]))]
+    release_order = bool(np.all(runs[1:] >= runs[:-1]))
 
     # Lemma 4: no idle time between r_1 and the last completion.
-    no_idle = True
-    clock = instance.first_release
-    for piece in ordered:
-        if piece.start > clock + _EPS:
-            no_idle = False
-            break
-        clock = max(clock, piece.end)
+    clock = np.maximum.accumulate(np.concatenate(([instance.first_release], ends[:-1])))
+    no_idle = not np.any(starts > clock + _EPS)
 
     # Lemmas 5-6: block speeds uniform and non-decreasing.  Only meaningful for
     # single-speed-per-job schedules; otherwise report False conservatively.
@@ -106,17 +90,16 @@ def check_optimal_structure(schedule: Schedule, rtol: float = 1e-6) -> Structure
     non_decreasing = False
     if single_speed and release_order:
         speeds = schedule.speeds
-        ranges = blocks_from_speeds(instance, speeds)
-        uniform = True
-        block_speeds = []
-        for first, last in ranges:
-            segment = speeds[first : last + 1]
-            if not np.allclose(segment, segment[0], rtol=rtol, atol=1e-12):
-                uniform = False
-            block_speeds.append(float(np.mean(segment)))
-        non_decreasing = all(
-            b2 >= b1 * (1.0 - rtol) for b1, b2 in zip(block_speeds, block_speeds[1:])
-        )
+        first = np.array([block[0] for block in blocks_from_speeds(instance, speeds)])
+        sizes = np.diff(np.append(first, instance.n_jobs))
+        leader = np.repeat(speeds[first], sizes)
+        # np.isclose(speeds, leader, rtol=rtol, atol=1e-12), every block at once
+        uniform = bool(np.all(
+            (np.abs(speeds - leader) <= 1e-12 + rtol * np.abs(leader)) & np.isfinite(leader)
+            | (speeds == leader)
+        ))
+        block_speeds = _block_means(speeds, first, sizes)
+        non_decreasing = bool(np.all(block_speeds[1:] >= block_speeds[:-1] * (1.0 - rtol)))
 
     return StructureReport(
         single_speed_per_job=single_speed,
@@ -125,6 +108,28 @@ def check_optimal_structure(schedule: Schedule, rtol: float = 1e-6) -> Structure
         uniform_speed_per_block=uniform,
         non_decreasing_block_speeds=non_decreasing,
     )
+
+
+def _block_means(speeds: np.ndarray, first: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``np.mean`` of every block, bit for bit.
+
+    NumPy adds up to seven values left to right, so those blocks are laid
+    out as zero-padded rows and summed column by column (adding a zero
+    changes no sum); longer blocks (pairwise summation) call ``np.mean``.
+    """
+    short = sizes < 8
+    rows = np.zeros((len(first), 7))
+    block = np.repeat(np.arange(len(first)), sizes)
+    offset = np.arange(len(speeds)) - np.repeat(first, sizes)
+    keep = short[block]
+    rows[block[keep], offset[keep]] = speeds[keep]
+    sums = rows[:, 0].copy()
+    for column in rows.T[1:]:
+        sums += column
+    means = sums / sizes
+    for b in np.flatnonzero(~short).tolist():
+        means[b] = np.mean(speeds[first[b] : first[b] + sizes[b]])
+    return means
 
 
 def assert_optimal_structure(schedule: Schedule, rtol: float = 1e-6) -> None:

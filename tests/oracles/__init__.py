@@ -37,6 +37,13 @@ replaced lives here, unchanged, as the references the equivalence suites
 * :mod:`oracles.convex_ref` -- the SLSQP program for the laptop makespan
   problem, :func:`~oracles.convex_ref.convex_laptop_makespan`, an
   independent check on IncMerge.
+* :mod:`oracles.verify` -- verify's ``Piece``-loop feasibility and Lemma 2-6
+  checks, :func:`~oracles.verify.check_schedule_pieces` and
+  :func:`~oracles.verify.check_optimal_structure_pieces`, which the columnar
+  checks must equal with ``==``;
+* :mod:`oracles.anytime` -- the double-loop Jensen window bound
+  :func:`~oracles.anytime.jensen_energy_lower_bound_loop`, which the
+  one-expression grid bound must match to rounding.
 
 Import them as ``from oracles.bkp import ...`` (``tests/`` is on
 ``sys.path`` under pytest; the benchmarks add it themselves).

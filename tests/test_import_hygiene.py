@@ -11,6 +11,9 @@ needs numpy alone.  These tests keep it that way:
   bootstraps the registry first;
 * a serve loop, once built, imports nothing more while it answers, so no
   request pays for an import;
+* ``import repro.cli`` and ``repro verify`` load none of the batch, cache,
+  simulation, sweep or serving machinery, while ``repro serve --verify``
+  loads everything it answers with before it announces ``listening on``;
 * no module under ``src/repro`` imports scipy, not even inside a function.
 
 Each check that depends on import order runs in its own interpreter.
@@ -170,3 +173,53 @@ def test_no_module_under_src_imports_scipy():
                 for name in names if name.partition(".")[0] == "scipy"
             ]
     assert offenders == []
+
+
+_SUBCOMMAND_MACHINERY = (
+    "asyncio", "repro.service", "repro.batch", "repro.cache", "repro.cache_store",
+    "repro.sim", "repro.online.compete", "sqlite3", "multiprocessing",
+)
+
+
+def test_cli_import_and_verify_load_no_subcommand_machinery():
+    golden = Path(__file__).resolve().parent / "golden"
+    loaded = _fresh(f"""
+        import json, sys
+        import repro.cli
+        after_import = sorted(sys.modules)
+        code = repro.cli.main(["verify", "--request", {str(golden / "verify_request.json")!r},
+                               "--result", {str(golden / "verify_result.json")!r}])
+        assert code == 0, code
+        print(json.dumps({{"import": after_import, "verify": sorted(sys.modules)}}))
+    """)
+    for stage in ("import", "verify"):
+        assert [m for m in _SUBCOMMAND_MACHINERY if m in loaded[stage]] == [], stage
+
+
+def test_cli_serve_loads_its_machinery_before_listening(tmp_path):
+    # the modules loaded when the listener announces itself: no request
+    # pays for an import later (see the serve-loop test above)
+    report = _fresh(f"""
+        import json, sys, threading
+        import repro.cli
+
+        seen = {{}}
+        real_set = threading.Event.set
+
+        def set_and_record(self):
+            if "listening" not in seen:
+                seen["listening"] = sorted(sys.modules)
+            real_set(self)
+            raise SystemExit(0)
+
+        threading.Event.set = set_and_record
+        try:
+            repro.cli.main(["serve", "--tcp", "127.0.0.1:0", "--verify",
+                            "--cache-backend", "sqlite", "--cache-dir", {str(tmp_path)!r}])
+        except SystemExit:
+            pass
+        print(json.dumps(seen.get("listening", [])))
+    """)
+    serving = ("asyncio", "repro.service", "repro.cache", "repro.cache_store",
+               "sqlite3", "repro.online.compete")
+    assert [m for m in serving if m not in report] == []

@@ -7,8 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import CUBE, Instance, PolynomialPower, TabulatedConvexPower
-from repro.exceptions import InfeasibleError, InvalidInstanceError
+from repro.api import SolveRequest, solve, verify
+from repro.core import (
+    CUBE,
+    AffinePolynomialPower,
+    Instance,
+    PolynomialPower,
+    TabulatedConvexPower,
+)
+from repro.exceptions import BudgetError, InfeasibleError, InvalidInstanceError
 from repro.multi import (
     assignment_candidates,
     exact_multiprocessor_makespan,
@@ -51,6 +58,35 @@ class TestMakespanForLoads:
     def test_empty_loads_rejected(self, cube):
         with pytest.raises(InvalidInstanceError):
             makespan_for_loads([0.0], cube, 5.0)
+
+    def test_leakage_power_solves_budgets_above_the_critical_speed_minimum(self):
+        # with every processor finishing together the energy stays above 11
+        # (11.13 at the longest such finish time, 5.27); the light processor
+        # must run at the critical speed and finish early instead
+        leaky = AffinePolynomialPower(exponent=2.5, coefficient=1.5, static=0.2)
+        loads = (3.0, 2.0, 4.5)
+        crit = leaky.critical_speed
+        least = sum(leaky.energy(w, crit) for w in loads)
+        assert least == pytest.approx(8.34, abs=5e-3)
+        T = makespan_for_loads(loads, leaky, 11.0)
+        speeds = [max(w / T, crit) for w in loads]
+        assert sum(leaky.energy(w, s) for w, s in zip(loads, speeds)) == pytest.approx(11.0)
+        assert max(w / s for w, s in zip(loads, speeds)) == pytest.approx(T)
+        assert makespan_for_loads(loads, leaky, 20.0) < T
+        with pytest.raises(BudgetError, match="8.338"):
+            makespan_for_loads(loads, leaky, 8.0)
+
+    def test_leakage_power_answer_passes_verify(self):
+        leaky = AffinePolynomialPower(exponent=2.5, coefficient=1.5, static=0.2)
+        request = SolveRequest(
+            instance=Instance.from_arrays([0.0, 0.0, 0.0], [3.0, 2.0, 4.5]),
+            power=leaky, solver="multi-makespan-exact", budget=11.0, processors=3,
+        )
+        result = solve(request)
+        assert result.ok, result.error_message
+        assert result.energy == pytest.approx(11.0)
+        assert min(result.speeds) == pytest.approx(leaky.critical_speed)
+        assert verify(request, result).ok
 
 
 class TestOptimalLoadPartition:

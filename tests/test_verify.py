@@ -456,12 +456,13 @@ class TestVerifyCli:
                      "--verify"]) == 0
 
     def test_cli_batch_verify_failure_exits_one(self, tmp_path, capsys, monkeypatch):
-        import repro.cli as cli_mod
+        import repro.batch as batch_mod
 
         def boom(*args, **kwargs):
             raise VerificationError("instance 0: verification failed")
 
-        monkeypatch.setattr(cli_mod, "solve_many", boom)
+        # repro batch imports solve_many when it runs
+        monkeypatch.setattr(batch_mod, "solve_many", boom)
         instances = [equal_work_instance(3, seed=0)]
         batch_in = tmp_path / "in.json"
         save_instances(instances, batch_in)
