@@ -729,12 +729,7 @@ def _check_jensen_gap(ctx: VerificationContext, epsilon: float) -> list[Finding]
         return [
             _approx_finding("approximation-invalid", "jensen-gap result has no energy")
         ]
-    witness = ctx.witness
-    if witness is not None:
-        # the same grid as Hall's condition, so the same bound bit for bit
-        lower = witness.jensen(ctx.request.power)
-    else:
-        lower = jensen_energy_lower_bound(ctx.request.instance, ctx.request.power)
+    lower = jensen_energy_lower_bound(ctx.request.instance, ctx.request.power)
     findings: list[Finding] = []
     if energy < lower * (1.0 - 1e-9) - 1e-12:
         findings.append(

@@ -269,10 +269,12 @@ class DeadlineWitness:
     jobs with ``a <= r_j`` and ``d_j <= b``): EDF's largest lateness.
     ``stretch`` is the largest such excess relative to ``b - a`` (at least
     0), so the speeds scaled by ``1 + stretch`` are feasible.  ``energy`` is
-    ``sum_j energy(w_j, s_j)``.  ``rounding`` bounds how far, relative to the
-    shortest processing time, the rebuilt EDF schedule may round away from
-    these sums.  ``grid`` is the
-    two-column (processing time, work) window grid the Jensen bound reads.
+    ``sum_j energy(w_j, s_j)``.  ``rounding`` bounds how far, relatively, the
+    rebuilt EDF schedule may round away from these sums: its clock drift
+    against the shortest processing time, plus the residual work (at most
+    ``1e-12`` per job) EDF counts as done against the smallest work.
+    ``grid`` is the two-column (processing time, work) window grid the
+    Jensen bound reads.
     """
 
     energy: float
@@ -301,7 +303,9 @@ def deadline_witness(
     They apply to the single-processor energy solvers when every job has a
     finite deadline and positive work, the speeds are finite and positive,
     and the rebuilt schedule's rounding (one per EDF piece, at most ``2n``
-    pieces) stays a tenth of the time and work tolerances.
+    pieces) stays a tenth of the time and work tolerances.  The last keeps
+    every work above ``1e-5``, far from the ``1e-12`` at which EDF drops a
+    job without running it.
     """
     if capabilities.objective != "energy" or capabilities.multiprocessor:
         return None
@@ -317,7 +321,7 @@ def deadline_witness(
     deadlines = instance.deadlines
     horizon = float(deadlines.max() + processing.sum())
     drift = 2 * instance.n_jobs * (8 * np.finfo(float).eps * horizon + 1e-12)
-    rounding = drift / float(processing.min())
+    rounding = drift / float(processing.min()) + 1e-12 / float(works.min())
     if drift > 0.1 * _TIME_EPS or rounding > 0.1 * _WORK_RTOL:
         return None
     try:

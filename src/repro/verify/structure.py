@@ -98,7 +98,9 @@ def check_optimal_structure(schedule: Schedule, rtol: float = 1e-6) -> Structure
             (np.abs(speeds - leader) <= 1e-12 + rtol * np.abs(leader)) & np.isfinite(leader)
             | (speeds == leader)
         ))
-        block_speeds = _block_means(speeds, first, sizes)
+        block_speeds = np.array(
+            [np.mean(speeds[a : a + k]) for a, k in zip(first.tolist(), sizes.tolist())]
+        )
         non_decreasing = bool(np.all(block_speeds[1:] >= block_speeds[:-1] * (1.0 - rtol)))
 
     return StructureReport(
@@ -108,28 +110,6 @@ def check_optimal_structure(schedule: Schedule, rtol: float = 1e-6) -> Structure
         uniform_speed_per_block=uniform,
         non_decreasing_block_speeds=non_decreasing,
     )
-
-
-def _block_means(speeds: np.ndarray, first: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``np.mean`` of every block, bit for bit.
-
-    NumPy adds up to seven values left to right, so those blocks are laid
-    out as zero-padded rows and summed column by column (adding a zero
-    changes no sum); longer blocks (pairwise summation) call ``np.mean``.
-    """
-    short = sizes < 8
-    rows = np.zeros((len(first), 7))
-    block = np.repeat(np.arange(len(first)), sizes)
-    offset = np.arange(len(speeds)) - np.repeat(first, sizes)
-    keep = short[block]
-    rows[block[keep], offset[keep]] = speeds[keep]
-    sums = rows[:, 0].copy()
-    for column in rows.T[1:]:
-        sums += column
-    means = sums / sizes
-    for b in np.flatnonzero(~short).tolist():
-        means[b] = np.mean(speeds[first[b] : first[b] + sizes[b]])
-    return means
 
 
 def assert_optimal_structure(schedule: Schedule, rtol: float = 1e-6) -> None:

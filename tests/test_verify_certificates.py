@@ -268,19 +268,6 @@ def test_columnar_checks_equal_the_piece_loops_on_canonical_and_edf_schedules(in
         _assert_same_structure(schedule)
 
 
-def test_block_means_are_numpys_bit_for_bit():
-    from repro.verify.structure import _block_means
-
-    rng = np.random.default_rng(5)
-    for _ in range(300):
-        n = int(rng.integers(1, 60))
-        speeds = rng.random(n) * rng.choice([1e-3, 1.0, 1e5]) + rng.random()
-        first = np.flatnonzero(np.concatenate(([True], rng.random(n - 1) < rng.random())))
-        sizes = np.diff(np.append(first, n))
-        expected = [float(np.mean(speeds[a : a + k])) for a, k in zip(first, sizes)]
-        assert _block_means(speeds, first, sizes).tolist() == expected
-
-
 def test_laptop_answers_keep_their_lemma_structure_columnar():
     for n in (8, 16, 32, 64):
         for seed in range(5):
@@ -398,6 +385,25 @@ def test_reports_equal_the_recompute_path_at_serve_mix_sizes(solver):
             request = _request(solver, n, seed)
             for answer in _mutations(solve(request), rng):
                 assert verify(request, answer) == _recomputed(request, answer)
+
+
+@pytest.mark.parametrize("solver", ["yds", "yds-anytime", "avr", "oa", "bkp"])
+@pytest.mark.parametrize(
+    "releases, deadlines, works, speeds",
+    [
+        # EDF drops a job of work <= 1e-12 without running it
+        ([0.0, 5.0], [1.0, 6.0], [1.0, 1e-13], [1.0, 1e-13]),
+        ([0.0], [1.0], [1e-13], [1e-13]),
+        # just above the smallest work the certificates accept
+        ([0.0, 5.0], [1.0, 6.0], [1.0, 2e-5], [1.0, 2e-5]),
+    ],
+)
+def test_reports_equal_the_recompute_path_on_tiny_works(solver, releases, deadlines, works, speeds):
+    instance = Instance.from_arrays(releases, works, deadlines=deadlines)
+    ctx = _context(instance, speeds, solver=solver)
+    rng = np.random.default_rng(3)
+    for answer in _mutations(ctx.result, rng):
+        assert verify(ctx.request, answer) == _recomputed(ctx.request, answer)
 
 
 def test_requests_without_deadlines_take_the_recompute_path():
