@@ -1090,7 +1090,10 @@ def _serve_arguments(p: argparse.ArgumentParser) -> None:
                         f"with an overloaded envelope (default "
                         f"{DEFAULT_MAX_PENDING})")
     p.add_argument("--solve-threads", type=int, default=1,
-                   help="concurrent solve threads (default 1)")
+                   help="solve-pool threads (default 1); the pool runs cache "
+                        "misses that carry a deadline or whose solver and "
+                        "size last solved longer than the GIL switch "
+                        "interval, the event loop solves the rest")
     p.add_argument("--routing", choices=ROUTING_MODES, default="off",
                    help="SLA-aware solver routing: off (default) dispatches "
                         "exactly as requested; sla reroutes requests carrying "

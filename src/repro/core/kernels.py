@@ -24,9 +24,10 @@ caller; ``tests/test_kernels.py`` pins the two to each other at 1e-9 on
 randomized instances.
 
 On top of the per-instance kernels sits a *structure-of-arrays batched tier*
-(the ``*_batched`` functions): many same-shape instances are packed into
-padded 2-D ``(batch, n)`` arrays (:func:`pack_instances`) and each kernel
-runs once over the whole chunk, so a cache-cold sweep of small instances
+for the two solvers that have one (yds and avr): many same-shape instances
+are packed into padded 2-D ``(batch, n)`` arrays (:func:`pack_instances`)
+and :func:`max_density_interval_batched` / :func:`stepwise_rate_profile_batched`
+run once over the whole chunk, so a cache-cold sweep of small instances
 stops paying per-instance Python dispatch.  The batched YDS round
 (:func:`max_density_interval_batched`) is engineered for *bitwise* parity
 with :func:`max_density_interval`: duplicate-keeping sorted grid axes with
@@ -34,8 +35,8 @@ work scattered at the last-duplicate release / first-duplicate deadline
 index reproduce the unique-grid prefix sums exactly (interleaved zero cells
 do not perturb IEEE addition), and the first-flat-argmax tie-break maps to
 the unique grid because duplicates are adjacent and ordered.
-``tests/test_batched_kernels.py`` pins every batched kernel to a loop over
-its per-instance counterpart.
+``tests/test_batched_kernels.py`` pins both batched kernels, through the
+yds and avr batch solvers, to loops over their per-instance counterparts.
 
 Fast closed forms are used only for :class:`~repro.core.power.PolynomialPower`
 (``power = speed ** alpha``), where they are exact; every other power
@@ -68,13 +69,8 @@ __all__ = [
     "PaddedBatch",
     "pack_instances",
     "BatchWorkspace",
-    "prefix_sums_batched",
-    "power_eval_batched",
-    "energy_eval_batched",
-    "chain_start_times_batched",
     "max_density_interval_batched",
     "stepwise_rate_profile_batched",
-    "common_release_prefix_speeds_batched",
 ]
 
 
@@ -431,75 +427,6 @@ def pack_instances(instances: Sequence) -> PaddedBatch:
     return PaddedBatch(releases, deadlines, works, mask)
 
 
-def prefix_sums_batched(values: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`prefix_sums`: ``(batch, n)`` in, ``(batch, n + 1)`` out."""
-    values = np.asarray(values, dtype=float)
-    batch, n = values.shape
-    out = np.empty((batch, n + 1))
-    out[:, 0] = 0.0
-    np.cumsum(values, axis=1, out=out[:, 1:])
-    return out
-
-
-def power_eval_batched(power: PowerFunction, speeds: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`power_eval` over a ``(batch, n)`` speed array."""
-    return power_eval(power, np.asarray(speeds, dtype=float))
-
-
-def energy_eval_batched(
-    power: PowerFunction,
-    works: np.ndarray,
-    speeds: np.ndarray,
-    mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Row-wise :func:`energy_eval`; padded slots (``mask`` False) yield 0.
-
-    Masked slots are evaluated at a safe ``(work=0, speed=1)`` point so that
-    padding sentinels (zero or infinite speeds) never reach the power
-    function's validation.
-    """
-    works = np.asarray(works, dtype=float)
-    speeds = np.asarray(speeds, dtype=float)
-    if mask is None:
-        return energy_eval(power, works, speeds)
-    out = energy_eval(
-        power, np.where(mask, works, 0.0), np.where(mask, speeds, 1.0)
-    )
-    out[~np.asarray(mask, dtype=bool)] = 0.0
-    return out
-
-
-def chain_start_times_batched(
-    releases: np.ndarray,
-    durations: np.ndarray,
-    clock0: np.ndarray | float,
-    mask: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise :func:`chain_start_times` via the same prefix-max recurrence.
-
-    ``clock0`` may be a scalar or one value per row.  Padded slots must be
-    trailing; they are forced to zero duration so every live prefix computes
-    the identical float sequence as the per-instance kernel (the rows agree
-    bitwise on the live slots).
-    """
-    releases = np.asarray(releases, dtype=float)
-    durations = np.asarray(durations, dtype=float)
-    if releases.shape[1] == 0:
-        empty = np.empty_like(releases)
-        return empty, empty.copy()
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        durations = np.where(mask, durations, 0.0)
-        releases = np.where(mask, releases, -np.inf)
-    prefix = prefix_sums_batched(durations)
-    adjusted = releases - prefix[:, :-1]
-    adjusted[:, 0] = np.maximum(np.asarray(clock0, dtype=float), releases[:, 0])
-    base = np.maximum.accumulate(adjusted, axis=1)
-    starts = base + prefix[:, :-1]
-    ends = starts + durations
-    return starts, ends
-
-
 def _dup_ranks(
     values: np.ndarray, sorted_vals: np.ndarray, order: np.ndarray, last: bool
 ) -> np.ndarray:
@@ -682,89 +609,3 @@ def stepwise_rate_profile_batched(
     np.subtract.at(delta, flat[:, n:].ravel(), rates.ravel())
     levels = np.cumsum(delta.reshape(batch, width), axis=1)[:, :-1]
     return events, levels
-
-
-def common_release_prefix_speeds_batched(
-    t0: np.ndarray | float,
-    deadlines: np.ndarray,
-    works: np.ndarray,
-    mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Row-wise :func:`common_release_prefix_speeds` (lockstep hull stacks).
-
-    ``deadlines`` rows must be sorted non-decreasingly over their live slots
-    (trailing padding allowed via ``mask``) and strictly greater than the
-    row's ``t0``.  All rows advance through the hull construction in
-    lockstep: one vectorised push per job column, with the concavity merge
-    loop iterating until no row needs another pop.  Per-row float operations
-    are the exact sequence the scalar kernel performs, so live-slot speeds
-    match it bitwise; padded slots return 0.
-    """
-    deadlines = np.asarray(deadlines, dtype=float)
-    works = np.asarray(works, dtype=float)
-    batch, m = deadlines.shape
-    t0_arr = np.broadcast_to(np.asarray(t0, dtype=float), (batch,)).astype(float)
-    if mask is None:
-        mask = np.ones((batch, m), dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-    if m == 0:
-        return np.zeros((batch, 0))
-
-    bad = mask & (deadlines <= t0_arr[:, None])
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise ValueError(
-            f"deadline {deadlines[row, col]:g} is not after the common "
-            f"availability time {t0_arr[row]:g}"
-        )
-
-    xs = np.empty((batch, m + 1))
-    ys = np.empty((batch, m + 1))
-    last_job = np.full((batch, m + 1), -1, dtype=np.int64)
-    slopes = np.zeros((batch, m))
-    xs[:, 0] = t0_arr
-    ys[:, 0] = 0.0
-    top = np.zeros(batch, dtype=np.int64)  # index of the current top vertex
-    y_run = np.zeros(batch)
-    rows = np.arange(batch)
-    for k in range(m):
-        active = mask[:, k]
-        if not active.any():
-            continue
-        x = deadlines[:, k]
-        y_run = np.where(active, y_run + works[:, k], y_run)
-        while True:
-            can_pop = active & (top >= 1)
-            top_x = xs[rows, top]
-            top_y = ys[rows, top]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                slope = np.where(
-                    x <= top_x, np.inf, (y_run - top_y) / (x - top_x)
-                )
-            pop = can_pop & (slope >= slopes[rows, np.maximum(top - 1, 0)]) & (top >= 1)
-            if not pop.any():
-                break
-            top[pop] -= 1
-        sel = np.where(active)[0]
-        t = top[sel]
-        slopes[sel, t] = (y_run[sel] - ys[sel, t]) / (
-            deadlines[sel, k] - xs[sel, t]
-        )
-        top[sel] += 1
-        xs[sel, t + 1] = deadlines[sel, k]
-        ys[sel, t + 1] = y_run[sel]
-        last_job[sel, t + 1] = k
-
-    # fill per-job speeds: job k belongs to the hull segment whose last_job
-    # boundary is the first one >= k (scatter segment-start markers, cumsum)
-    seg_marker = np.zeros((batch, m), dtype=np.int64)
-    vertex = np.arange(m + 1)[None, :]
-    valid_vertex = (vertex >= 1) & (vertex <= top[:, None])
-    seg_start = last_job + 1  # position after each segment's last job
-    in_range = valid_vertex & (seg_start < m) & (seg_start >= 0)
-    br, bc = np.nonzero(in_range)
-    np.add.at(seg_marker, (br, seg_start[br, bc]), 1)
-    seg = np.cumsum(seg_marker, axis=1)
-    speeds = slopes[np.arange(batch)[:, None], seg]
-    return np.where(mask, speeds, 0.0)

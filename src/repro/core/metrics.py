@@ -16,7 +16,7 @@ from a vector of completion times (the form the paper's proofs use).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "total_weighted_flow",
     "max_flow",
     "evaluate",
-    "evaluate_batch",
 ]
 
 
@@ -135,41 +134,3 @@ def evaluate(metric: str | Metric, schedule: Schedule) -> float:
                 f"unknown metric {metric!r}; known metrics: {sorted(METRICS)}"
             ) from exc
     return metric.of_schedule(schedule)
-
-
-def evaluate_batch(
-    metric: str | Metric, completions: np.ndarray, instance: Instance
-) -> np.ndarray:
-    """Evaluate a metric over a batch of completion-time vectors at once.
-
-    ``completions`` is a ``(k, n)`` matrix of ``k`` candidate completion
-    vectors for the same ``n``-job instance; returns the ``k`` metric values.
-    The built-in metrics reduce along ``axis=1`` in one vectorised pass;
-    unknown metrics fall back to a per-row loop.
-    """
-    if isinstance(metric, str):
-        try:
-            metric = METRICS[metric]
-        except KeyError as exc:
-            raise InvalidInstanceError(
-                f"unknown metric {metric!r}; known metrics: {sorted(METRICS)}"
-            ) from exc
-    completions = np.asarray(completions, dtype=float)
-    if completions.ndim != 2 or completions.shape[1] != instance.n_jobs:
-        raise InvalidInstanceError(
-            f"completion batch shape {completions.shape} does not match "
-            f"(k, {instance.n_jobs})"
-        )
-    # dispatch on metric identity (not name) so user-constructed metrics that
-    # happen to reuse a built-in name still get their own from_completions
-    if metric is MAKESPAN:
-        return completions.max(axis=1)
-    if metric is TOTAL_FLOW:
-        return np.sum(completions - instance.releases, axis=1)
-    if metric is TOTAL_WEIGHTED_FLOW:
-        return np.sum(instance.weights * (completions - instance.releases), axis=1)
-    if metric is MAX_FLOW:
-        return np.max(completions - instance.releases, axis=1)
-    return np.array(
-        [metric.from_completions(row, instance) for row in completions]
-    )

@@ -28,10 +28,21 @@ path of ``tests/golden/serve_transcript.txt``) and over TCP
 (:meth:`~AsyncServeLoop.serve_tcp`).  Besides answering requests it has
 the robustness semantics a production tier needs:
 
+- **solve placement** -- parsing, cache lookups, verification, cache
+  writes and encoding run on the event-loop thread.  A cache miss is solved
+  there too when the request carries no deadline and the last solve of its
+  class (solver, bit length of ``n_jobs``) took at most
+  :func:`sys.getswitchinterval`; a pooled solve that holds the GIL already
+  delays the loop that long, and a short solve on a pool thread, with the
+  loop busy on other requests, costs more in GIL hand-offs between CPUs
+  than it saves.  Every other miss -- one with a deadline, the first of its
+  class, or one whose class last ran longer -- goes to the solve-thread
+  pool.  ``{"op": "stats"}`` counts both places.
 - **deadlines** -- a request carrying ``deadline_ms`` (or the server
   default) that expires while queued or mid-solve is answered with a
   structured ``deadline-exceeded`` envelope, never a late result; a solve
-  thread hung past the deadline is abandoned and replaced.
+  thread hung past the deadline is abandoned and replaced, and its class
+  goes back to the pool.
 - **load shedding** -- admission is a bounded queue; beyond ``max_pending``
   in-flight requests, new ones are shed immediately with an ``overloaded``
   envelope whose ``serve.retry_after_ms`` is the server's backoff hint
@@ -42,9 +53,9 @@ the robustness semantics a production tier needs:
   line to stderr.
 - **control requests** -- a line like ``{"op": "stats"}`` bypasses the
   solve queue and answers immediately with a ``serve-control`` envelope
-  (``stats`` returns QPS, cache hit ratio, shed/deadline-miss counts and
-  p50/p99 latency; ``ping`` answers trivially; ``drain`` initiates a
-  graceful drain).
+  (``stats`` returns QPS, cache hit ratio, shed/deadline-miss counts,
+  p50/p99 latency and where solves ran; ``ping`` answers trivially;
+  ``drain`` initiates a graceful drain).
 - **fault injection** -- an explicit :class:`repro.faults.FaultPlan`
   threads seeded chaos (worker exception/hang, slow solver, connection
   drop) through the loop for reproducible robustness tests
@@ -63,8 +74,10 @@ import asyncio
 import contextlib
 import dataclasses
 import json
+import math
 import queue as _queue_mod
 import signal
+import sys
 import threading
 import time
 from collections import deque
@@ -109,6 +122,9 @@ DEFAULT_MAX_PENDING = 64
 
 #: Backoff hint handed out before any solve has completed (no EWMA yet).
 _DEFAULT_RETRY_AFTER_MS = 50.0
+
+#: Where the ``{"op": "stats"}`` ``solves`` counters say solves ran.
+_SOLVE_PLACES = ("loop", "pool", "abandoned")
 
 
 @dataclass
@@ -284,6 +300,8 @@ class AsyncServeLoop:
         self._latencies: deque = deque(maxlen=4096)
         self._started_at = 0.0
         self._ewma_service_s: float | None = None
+        self._solve_s: dict[tuple[Any, int], float] = {}
+        self._solves = dict.fromkeys(_SOLVE_PLACES, 0)
         self._signals_installed: list[int] = []
         self._thread: threading.Thread | None = None
         self._thread_ready: threading.Event | None = None
@@ -296,6 +314,8 @@ class AsyncServeLoop:
         self._latencies = deque(maxlen=4096)
         self._started_at = time.monotonic()
         self._ewma_service_s = None
+        self._solve_s = {}
+        self._solves = dict.fromkeys(_SOLVE_PLACES, 0)
         self._pool = _SolvePool(self.solve_threads)
         self._workers = [
             asyncio.ensure_future(self._worker()) for _ in range(self.solve_threads)
@@ -448,8 +468,10 @@ class AsyncServeLoop:
         return fut
 
     # -- processing -----------------------------------------------------
-    def _solve_job(self, request: Any) -> SolveResult:
-        """Runs on a pool thread: fault injection wrapped around the solve."""
+    def _solve_job(self, request: Any) -> tuple[SolveResult, float]:
+        """Fault injection wrapped around the solve, timed on the thread that
+        runs it (the loop's own or a pool thread)."""
+        started = time.perf_counter()
         plan = self.fault_plan
         if plan is not None:
             rule = plan.fire(WORKER_HANG)
@@ -461,7 +483,55 @@ class AsyncServeLoop:
             rule = plan.fire(WORKER_EXCEPTION)
             if rule is not None:
                 raise InjectedFault(rule.message or "injected worker exception")
-        return api_solve(request)
+        result = api_solve(request)
+        return result, time.perf_counter() - started
+
+    async def _solve(self, request: SolveRequest, pending: _Pending) -> SolveResult:
+        """One cache miss, solved where it costs least.
+
+        A request without a deadline whose class (solver, ``n_jobs``'s bit
+        length) last solved within the GIL switch interval is solved right
+        here on the loop thread: a pooled solve holding the GIL already
+        delays the loop that long, and passing the GIL between the loop and
+        a pool thread costs more than such a solve.  Every other miss goes
+        to the pool, where a deadline can abandon it.  Exceptions become
+        error results once: a :class:`ReproError` keeps its code, anything
+        else is ``internal``.
+        """
+        assert self._loop is not None and self._pool is not None
+        key = (request.solver or request.spec, request.instance.n_jobs.bit_length())
+        try:
+            if (
+                pending.deadline is None
+                and self._solve_s.get(key, math.inf) <= sys.getswitchinterval()
+            ):
+                self._solves["loop"] += 1
+                result, elapsed = self._solve_job(request)
+            else:
+                self._solves["pool"] += 1
+                solve_fut, token = self._pool.submit(
+                    self._loop, lambda: self._solve_job(request)
+                )
+                timeout = (
+                    None
+                    if pending.deadline is None
+                    else max(pending.deadline - time.monotonic(), 0.001)
+                )
+                try:
+                    result, elapsed = await asyncio.wait_for(solve_fut, timeout)
+                except asyncio.TimeoutError:
+                    self._pool.abandon(token)
+                    self._solves["abandoned"] += 1
+                    self._solve_s[key] = math.inf
+                    return self._deadline_result(
+                        pending, "mid-solve; worker abandoned"
+                    )
+        except Exception as exc:
+            return SolveResult.failure(request.solver or "<serve>", exc)
+        self._solve_s[key] = elapsed
+        prev = self._ewma_service_s
+        self._ewma_service_s = elapsed if prev is None else 0.2 * elapsed + 0.8 * prev
+        return result
 
     def _deadline_result(self, pending: _Pending, where: str) -> SolveResult:
         self.stats.deadline_misses += 1
@@ -490,7 +560,6 @@ class AsyncServeLoop:
         return budget
 
     async def _process(self, pending: _Pending) -> dict[str, Any]:
-        assert self._loop is not None and self._pool is not None
         cache = self.cache
         cache_state = "off" if cache is None else "miss"
         serve_meta: dict[str, Any] = {"cache": cache_state}
@@ -523,36 +592,7 @@ class AsyncServeLoop:
                     serve_meta["cache"] = "hit"
                     result = hit
                 else:
-                    solve_fut, token = self._pool.submit(
-                        self._loop, lambda: self._solve_job(request)
-                    )
-                    timeout = (
-                        None
-                        if pending.deadline is None
-                        else max(pending.deadline - time.monotonic(), 0.001)
-                    )
-                    solve_started = time.monotonic()
-                    try:
-                        result = await asyncio.wait_for(solve_fut, timeout)
-                    except asyncio.TimeoutError:
-                        self._pool.abandon(token)
-                        result = self._deadline_result(
-                            pending, "mid-solve; worker abandoned"
-                        )
-                    except ReproError as exc:
-                        result = SolveResult.failure(
-                            request.solver or "<serve>", exc
-                        )
-                    except Exception as exc:  # foreign crash -> "internal"
-                        result = SolveResult.failure(
-                            request.solver or "<serve>", exc
-                        )
-                    else:
-                        elapsed = time.monotonic() - solve_started
-                        prev = self._ewma_service_s
-                        self._ewma_service_s = (
-                            elapsed if prev is None else 0.2 * elapsed + 0.8 * prev
-                        )
+                    result = await self._solve(request, pending)
 
         if decision is not None:
             serve_meta["routed_solver"] = decision.solver
@@ -608,13 +648,19 @@ class AsyncServeLoop:
                 self.stats.errors += 1
             if not pending.future.done():
                 pending.future.set_result(response)
+            # an inline solve never awaits, and Queue.get() does not yield
+            # while the queue is non-empty: let the writers, the readers and
+            # the control requests run between two requests
+            await asyncio.sleep(0)
 
     # -- stats ----------------------------------------------------------
     def stats_snapshot(self) -> dict[str, Any]:
         """The ``{"op": "stats"}`` payload: counters plus derived rates.
 
-        Timing-derived fields (uptime, QPS, latency percentiles) are
-        omitted when ``timing=False`` so transcripts stay reproducible.
+        Timing-derived fields (uptime, QPS, latency percentiles, and the
+        ``solves`` counts of where misses were solved, which follow measured
+        solve times) are omitted when ``timing=False`` so transcripts stay
+        reproducible.
         """
         s = self.stats
         snap: dict[str, Any] = {
@@ -639,6 +685,7 @@ class AsyncServeLoop:
             uptime = time.monotonic() - self._started_at
             snap["uptime_s"] = round(uptime, 3)
             snap["qps"] = round(s.requests / uptime, 3) if uptime > 0 else None
+            snap["solves"] = dict(self._solves)
             latencies = sorted(self._latencies)
             if latencies:
                 snap["latency_ms"] = {

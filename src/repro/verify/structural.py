@@ -240,6 +240,14 @@ def reconstruct_schedule(
                 "multiprocessor result carries no 'assignment' in extras"
             )
         assignment = {int(proc): [int(j) for j in jobs] for proc, jobs in raw.items()}
+        n = request.instance.n_jobs
+        for proc, jobs in assignment.items():
+            for j in jobs:
+                if not 0 <= j < n:
+                    raise InvalidScheduleError(
+                        f"processor {proc} is assigned job {j}, but the "
+                        f"instance's jobs are 0..{n - 1}"
+                    )
         return Schedule.from_processor_speeds(
             request.instance,
             request.power,

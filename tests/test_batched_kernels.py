@@ -30,19 +30,10 @@ from repro.batch import solve_many
 from repro.core import CUBE, Instance, PolynomialPower
 from repro.core.kernels import (
     BatchWorkspace,
-    chain_start_times,
-    chain_start_times_batched,
-    common_release_prefix_speeds,
-    common_release_prefix_speeds_batched,
-    energy_eval,
-    energy_eval_batched,
     max_density_interval,
     max_density_interval_batched,
     pack_instances,
-    prefix_sums,
-    prefix_sums_batched,
 )
-from repro.core.power import AffinePolynomialPower
 from repro.exceptions import InvalidInstanceError
 from repro.online.avr import avr_speed_profile, avr_speed_profiles_batch
 from oracles.edf import edf_schedule_at_speeds_scan
@@ -107,49 +98,6 @@ def test_pack_instances_layout(instances):
 
 @common_settings
 @given(instances=instance_chunks())
-def test_prefix_sums_batched_bitwise(instances):
-    batch = pack_instances(instances)
-    out = prefix_sums_batched(batch.works)
-    for b, inst in enumerate(instances):
-        n = inst.n_jobs
-        assert np.array_equal(out[b, : n + 1], prefix_sums(inst.works))
-
-
-@common_settings
-@given(instances=instance_chunks())
-def test_energy_eval_batched_bitwise(instances):
-    batch = pack_instances(instances)
-    speeds = np.where(batch.mask, batch.works + 1.0, 0.0)  # padded slots unsafe
-    for power in (POWER, AffinePolynomialPower(exponent=3.0, coefficient=1.0, static=0.5)):
-        out = energy_eval_batched(power, batch.works, speeds, batch.mask)
-        assert (out[~batch.mask] == 0.0).all()
-        for b, inst in enumerate(instances):
-            n = inst.n_jobs
-            assert np.array_equal(
-                out[b, :n], energy_eval(power, inst.works, speeds[b, :n])
-            )
-
-
-@common_settings
-@given(instances=instance_chunks())
-def test_chain_start_times_batched_bitwise(instances):
-    batch = pack_instances(instances)
-    durations = np.where(batch.mask, batch.works, 0.0)
-    clock0 = np.array([inst.first_release for inst in instances])
-    starts, ends = chain_start_times_batched(
-        batch.releases, durations, clock0, batch.mask
-    )
-    for b, inst in enumerate(instances):
-        n = inst.n_jobs
-        ref_starts, ref_ends = chain_start_times(
-            inst.releases, inst.works, inst.first_release
-        )
-        assert np.array_equal(starts[b, :n], ref_starts)
-        assert np.array_equal(ends[b, :n], ref_ends)
-
-
-@common_settings
-@given(instances=instance_chunks())
 def test_max_density_interval_batched_bitwise(instances):
     batch = pack_instances(instances)
     t1, t2, density = max_density_interval_batched(
@@ -176,37 +124,6 @@ def test_max_density_interval_batched_workspace_reuse():
         )
         for a, c in zip(plain, with_ws):
             assert np.array_equal(a, c)
-
-
-@common_settings
-@given(instances=instance_chunks())
-def test_common_release_prefix_speeds_batched_bitwise(instances):
-    # all jobs share a row release: sort each instance's deadlines and use
-    # t0 = 0 (strictly below every feasible deadline)
-    deadline_rows = [np.sort(inst.deadlines) for inst in instances]
-    work_rows = [
-        inst.works[np.argsort(inst.deadlines, kind="stable")] for inst in instances
-    ]
-    width = max(len(r) for r in deadline_rows)
-    deadlines = np.full((len(instances), width), np.inf)
-    works = np.zeros((len(instances), width))
-    mask = np.zeros((len(instances), width), dtype=bool)
-    for b, (d, w) in enumerate(zip(deadline_rows, work_rows)):
-        deadlines[b, : len(d)] = d
-        works[b, : len(d)] = w
-        mask[b, : len(d)] = True
-    speeds = common_release_prefix_speeds_batched(0.0, deadlines, works, mask)
-    assert (speeds[~mask] == 0.0).all()
-    for b, (d, w) in enumerate(zip(deadline_rows, work_rows)):
-        ref = common_release_prefix_speeds(0.0, d, w)
-        assert np.array_equal(speeds[b, : len(d)], ref)
-
-
-def test_common_release_prefix_speeds_batched_rejects_stale_deadline():
-    deadlines = np.array([[1.0, 2.0], [0.5, 3.0]])
-    works = np.ones((2, 2))
-    with pytest.raises(ValueError, match="not after"):
-        common_release_prefix_speeds_batched(0.75, deadlines, works)
 
 
 # ----------------------------------------------------------------------

@@ -87,43 +87,3 @@ class TestEvaluate:
         sched = Schedule.from_speeds(inst, CUBE, [1.0, 1.0, 1.0])
         with pytest.raises(InvalidInstanceError):
             evaluate("no-such-metric", sched)
-
-
-class TestEvaluateBatch:
-    """`evaluate_batch` vs per-row `from_completions` on the same vectors."""
-
-    def _batch(self):
-        rng = np.random.default_rng(5)
-        return rng.uniform(1.0, 9.0, size=(6, 3))
-
-    def test_matches_per_row_evaluation_for_all_builtins(self, inst):
-        from repro.core.metrics import evaluate_batch
-
-        batch = self._batch()
-        for name, metric in METRICS.items():
-            fast = evaluate_batch(name, batch, inst)
-            slow = np.array([metric.from_completions(row, inst) for row in batch])
-            assert np.allclose(fast, slow, rtol=1e-12), name
-
-    def test_custom_metric_falls_back_to_per_row(self, inst):
-        from repro.core.metrics import Metric, evaluate_batch
-
-        second_completion = Metric(
-            "second_completion",
-            symmetric=False,
-            non_decreasing=True,
-            from_completions=lambda completions, _inst: float(np.sort(completions)[1]),
-        )
-        batch = self._batch()
-        fast = evaluate_batch(second_completion, batch, inst)
-        assert np.allclose(fast, np.sort(batch, axis=1)[:, 1], rtol=1e-12)
-
-    def test_shape_and_name_validation(self, inst):
-        from repro.core.metrics import evaluate_batch
-
-        with pytest.raises(InvalidInstanceError):
-            evaluate_batch("makespan", np.zeros((2, 5)), inst)  # wrong n_jobs
-        with pytest.raises(InvalidInstanceError):
-            evaluate_batch("makespan", np.zeros(3), inst)  # not 2-D
-        with pytest.raises(InvalidInstanceError):
-            evaluate_batch("no-such-metric", self._batch(), inst)

@@ -2,8 +2,8 @@
 
 Covers the robustness semantics on top of the request/response protocol
 (``tests/test_service.py``): deadlines, load shedding, graceful drain,
-control requests, fault injection and concurrent TCP clients sharing one
-cache.
+control requests, fault injection, concurrent TCP clients sharing one
+cache, and which thread solves a cache miss.
 """
 
 from __future__ import annotations
@@ -12,10 +12,13 @@ import asyncio
 import io
 import json
 import socket
+import sys
 import threading
+import time
 
 import pytest
 
+from repro import service
 from repro.api import SolveRequest
 from repro.cache import ResultCache
 from repro.core import CUBE
@@ -199,7 +202,7 @@ class TestControlOps:
             [json.dumps({"op": "stats"}) + "\n"], timing=False
         )
         snap = responses[0]["stats"]
-        assert "qps" not in snap and "latency_ms" not in snap
+        assert "qps" not in snap and "latency_ms" not in snap and "solves" not in snap
         assert snap["requests"] == 0 and snap["draining"] is False
 
     def test_ping_and_unknown_op(self):
@@ -296,3 +299,153 @@ class TestConcurrentTcpClients:
         # more may race past the cache, but hits must dominate
         assert stats.cache_hits >= total - n_threads
         assert stats.cache_hits + loop.cache.stats().puts == total
+
+
+@pytest.fixture
+def switch_interval():
+    """Pin the GIL switch interval the placement rule compares against, so a
+    real solve counts as short whatever the host's speed; restored after."""
+    saved = sys.getswitchinterval()
+    yield sys.setswitchinterval
+    sys.setswitchinterval(saved)
+
+
+@pytest.fixture
+def solved_on(monkeypatch):
+    """``(budget, thread)`` of every solve the serve loop runs, in order."""
+    record = []
+    real = service.api_solve
+
+    def recording(request):
+        record.append((request.budget, threading.current_thread()))
+        return real(request)
+
+    monkeypatch.setattr(service, "api_solve", recording)
+    return record
+
+
+_POOL_THREAD = "repro-serve-solve"
+
+
+class TestSolvePlacement:
+    def test_short_deadline_free_miss_is_solved_on_the_loop_thread(
+        self, switch_interval, solved_on
+    ):
+        switch_interval(1.0)
+        lines = [_request_line(budget=budget) for budget in (17.0, 18.0, 19.0)]
+        responses, _, loop = _run_stream(lines, cache=ResultCache())
+        assert [r["result"]["status"] for r in responses] == ["ok"] * 3
+        threads = [thread for _, thread in solved_on]
+        # the first of its class is measured on the pool; the rest run inline
+        assert threads[0].name == _POOL_THREAD
+        assert threads[1:] == [threading.current_thread()] * 2
+        assert loop.stats_snapshot()["solves"] == {"loop": 2, "pool": 1, "abandoned": 0}
+
+    @pytest.mark.parametrize("where", ["request", "server"])
+    def test_miss_with_a_deadline_is_solved_on_the_pool(
+        self, switch_interval, solved_on, where
+    ):
+        switch_interval(1.0)
+        per_request = 10_000.0 if where == "request" else None
+        lines = [
+            _request_line(budget=budget, deadline_ms=per_request)
+            for budget in (17.0, 18.0, 19.0)
+        ]
+        responses, _, loop = _run_stream(
+            lines, cache=ResultCache(),
+            default_deadline_ms=10_000.0 if where == "server" else None,
+        )
+        assert [r["result"]["status"] for r in responses] == ["ok"] * 3
+        assert [thread.name for _, thread in solved_on] == [_POOL_THREAD] * 3
+        assert loop.stats_snapshot()["solves"] == {"loop": 0, "pool": 3, "abandoned": 0}
+
+    def test_abandoned_solve_sends_its_class_back_to_the_pool(
+        self, switch_interval, solved_on
+    ):
+        switch_interval(1.0)
+        plan = FaultPlan(
+            rules=(FaultRule(site=WORKER_HANG, indices=frozenset({1}), delay=15.0),)
+        )
+        lines = [
+            _request_line(budget=17.0),
+            _request_line(request_id="slow", budget=18.0, deadline_ms=200.0),
+            _request_line(budget=19.0),
+            _request_line(budget=20.0),
+        ]
+        responses, _, loop = _run_stream(lines, cache=ResultCache(), fault_plan=plan)
+        assert responses[1]["result"]["error"]["code"] == "deadline-exceeded"
+        places = {budget: thread.name for budget, thread in solved_on}
+        # 17 measures the class, 18 hangs and is abandoned, so 19 measures
+        # it again on the pool before 20 runs inline
+        assert places[17.0] == places[19.0] == _POOL_THREAD
+        assert places[20.0] == threading.current_thread().name
+        assert loop.stats_snapshot()["solves"] == {"loop": 1, "pool": 3, "abandoned": 1}
+
+    def test_long_class_stays_on_the_pool_and_ping_is_answered(self):
+        plan = FaultPlan(rules=(FaultRule(site=SOLVER_SLOW, rate=1.0, delay=1.0),))
+        loop = AsyncServeLoop(cache=ResultCache(), fault_plan=plan)
+        address = loop.start_in_thread()
+        try:
+            client, prober = _Client(address), _Client(address)
+            # the first solve measures the class at 1 s, past the switch interval
+            assert client.rpc(_request_line(budget=17.0))["result"]["status"] == "ok"
+            client.send(_request_line(budget=18.0))
+            time.sleep(0.2)  # the second 1 s solve is under way
+            begun = time.monotonic()
+            pong = prober.rpc(json.dumps({"op": "ping"}) + "\n")
+            waited = time.monotonic() - begun
+            assert client.recv()["result"]["status"] == "ok"
+            snap = prober.rpc(json.dumps({"op": "stats"}) + "\n")["stats"]
+            client.close()
+            prober.close()
+        finally:
+            loop.stop()
+        assert pong["ok"] is True
+        assert waited < 0.5
+        assert snap["solves"] == {"loop": 0, "pool": 2, "abandoned": 0}
+
+    def test_response_is_written_before_the_next_inline_solve(
+        self, monkeypatch, switch_interval
+    ):
+        switch_interval(1.0)
+        events = []
+        real = service.api_solve
+
+        def recording(request):
+            events.append(("solve", request.budget))
+            if request.budget == 17.0:
+                time.sleep(0.05)  # both pipelined misses queue up meanwhile
+            return real(request)
+
+        class Out(io.StringIO):
+            def write(self, text):
+                events.append(("write", json.loads(text)["id"]))
+                return super().write(text)
+
+        monkeypatch.setattr(service, "api_solve", recording)
+        lines = [
+            _request_line(request_id=name, budget=budget)
+            for name, budget in (("warm", 17.0), ("a", 18.0), ("b", 19.0))
+        ]
+        loop = AsyncServeLoop(cache=ResultCache())
+        asyncio.run(loop.run_stream(iter(lines), Out()))
+        assert loop.stats_snapshot()["solves"]["loop"] == 2
+        assert events.index(("write", "a")) < events.index(("solve", 19.0))
+
+    def test_inline_solves_feed_the_service_time_ewma(self, monkeypatch, switch_interval):
+        switch_interval(1.0)
+        real = service.api_solve
+
+        def slow(request):
+            time.sleep(0.01 if request.budget == 17.0 else 0.1)
+            return real(request)
+
+        monkeypatch.setattr(service, "api_solve", slow)
+        _, _, loop = _run_stream(
+            [_request_line(budget=17.0), _request_line(budget=18.0)],
+            cache=ResultCache(),
+        )
+        assert loop.stats_snapshot()["solves"] == {"loop": 1, "pool": 1, "abandoned": 0}
+        # 0.2 x 0.1 s inline + 0.8 x 0.01 s pooled: an inline solve read as
+        # 0 s would leave 0.008 s, one left out 0.01 s
+        assert loop._ewma_service_s >= 0.028

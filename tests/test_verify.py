@@ -238,6 +238,31 @@ class TestNegativePaths:
         codes = report.codes()
         assert "reconstruction-failed" in codes or "certificate-error" in codes
 
+    @pytest.mark.parametrize("solver", ["multi-makespan", "multi-flow"])
+    @pytest.mark.parametrize(
+        "assignment, named",
+        [
+            ({"0": [0, 2, 99], "1": [1, 3]}, "job 99"),
+            ({"0": [0, 2, -1], "1": [1, 3]}, "job -1"),
+            ({"0": [0, 2, 4, 1], "1": [1, 3]}, "job 1"),
+        ],
+        ids=["past-the-end", "negative", "duplicated"],
+    )
+    def test_tampered_job_index_is_a_finding_that_names_it(
+        self, solver, assignment, named
+    ):
+        request, result = _solved(
+            solver, instance=equal_work_instance(5, seed=1), budget=20.0,
+            processors=2,
+        )
+        bad = dataclasses.replace(
+            result, extras={**result.extras, "assignment": assignment}
+        )
+        report = verify(request, bad)
+        assert not report.ok
+        [finding] = [f for f in report.findings if f.code == "reconstruction-failed"]
+        assert named in finding.message
+
     def test_error_result_is_flagged(self, laptop_pair):
         request, _ = laptop_pair
         error = repro.solve(dataclasses.replace(request, budget=-1.0))

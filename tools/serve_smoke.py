@@ -12,12 +12,17 @@ asserts:
 Stage 2 starts a second serve subprocess in the server configuration of
 the benchmark's serve-mix workload (``--tcp 127.0.0.1:0 --verify
 --cache-backend sqlite --cache-dir <tmp>``), sends the same request twice
-on one connection and asserts:
+on one connection, then three more requests of the same cell with other
+budgets, and asserts:
 
 * a cache miss, then a cache hit, both solved OK and ``verified: true``,
-  with identical result envelopes,
+  with identical result envelopes; then three verified misses,
 * the counters of a ``{"op": "stats"}`` request equal the client's own
-  tallies of those two responses,
+  tallies of those five responses,
+* the misses were solved in both places: at least one on a solve-pool
+  thread (the first of its class always is) and at least one on the event
+  loop (a deadline-free miss whose class last solved within the GIL switch
+  interval),
 * SIGTERM drains the server: exit 0, a final stats line, no traceback.
 
 Run as ``python tools/serve_smoke.py`` (the repo's ``src/`` is put on the
@@ -47,7 +52,7 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _request_line() -> str:
+def _request_line(budget: float = 17.0) -> str:
     from repro.api import SolveRequest
     from repro.core import CUBE
     from repro.io import request_to_dict
@@ -56,7 +61,7 @@ def _request_line() -> str:
     return json.dumps(
         request_to_dict(
             SolveRequest(
-                instance=figure1_instance(), power=CUBE, solver="laptop", budget=17.0
+                instance=figure1_instance(), power=CUBE, solver="laptop", budget=budget
             )
         )
     )
@@ -88,8 +93,8 @@ def _tcp_smoke(line: str) -> int:
             with socket.create_connection((host, int(port_text)), timeout=30) as sock, \
                     sock.makefile("rw", encoding="utf-8") as stream:
                 responses = []
-                for _ in range(2):
-                    stream.write(line + "\n")
+                for request in [line, line] + [_request_line(b) for b in (18.0, 19.0, 20.0)]:
+                    stream.write(request + "\n")
                     stream.flush()
                     responses.append(json.loads(stream.readline()))
                 stream.write(json.dumps({"op": "stats"}) + "\n")
@@ -108,8 +113,9 @@ def _tcp_smoke(line: str) -> int:
         if response["serve"].get("verified") is not True:
             return _fail(f"TCP response {i} was not verified: {response['serve']}")
     states = [response["serve"]["cache"] for response in responses]
-    if states != ["miss", "hit"]:
-        return _fail(f"expected TCP cache states ['miss', 'hit'], got {states}")
+    expected = ["miss", "hit", "miss", "miss", "miss"]
+    if states != expected:
+        return _fail(f"expected TCP cache states {expected}, got {states}")
     if responses[0]["result"] != responses[1]["result"]:
         return _fail("sqlite cache hit returned a different result envelope")
     tallies = {
@@ -122,13 +128,17 @@ def _tcp_smoke(line: str) -> int:
     served = {key: snapshot.get(key) for key in tallies}
     if served != tallies:
         return _fail(f"stats op counters {served} differ from client tallies {tallies}")
+    solves = snapshot.get("solves") or {}
+    if solves.get("loop", 0) < 1 or solves.get("pool", 0) < 1:
+        return _fail(f"expected misses solved on the loop and on the pool, got {solves}")
     if proc.returncode != 0:
         return _fail(f"serve exited {proc.returncode} after SIGTERM:\n{stderr_rest}")
-    if "serve: 2 request(s)" not in stderr_rest or "Traceback" in stderr_rest:
+    if "serve: 5 request(s)" not in stderr_rest or "Traceback" in stderr_rest:
         return _fail(f"unexpected shutdown output after SIGTERM:\n{stderr_rest}")
     print(
         "serve smoke OK: TCP with --verify on a sqlite cache answered a verified "
-        "miss then hit, stats matched the client, SIGTERM drained with exit 0"
+        f"miss then hit, then three misses (solves {solves}), stats matched the "
+        "client, SIGTERM drained with exit 0"
     )
     return 0
 
