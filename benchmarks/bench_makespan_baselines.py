@@ -8,8 +8,8 @@ budgets on Poisson and bursty workloads and reports the makespan of
 * the convex-programming reference (must agree with IncMerge),
 * the uniform-speed baseline (ignores the release structure),
 
-plus the server-problem cross-check (frontier inversion vs the YDS
-common-deadline oracle).  The expected *shape*: the optimum always wins, the
+plus the server-problem cross-check (the time-reversed hull of
+``minimum_energy_for_makespan`` vs the general YDS common-deadline oracle).  The expected *shape*: the optimum always wins, the
 baseline's penalty grows with the budget (more energy means more opportunity
 to waste by racing ahead of future releases), and the two server oracles
 agree to numerical precision.
@@ -57,8 +57,8 @@ def _experiment():
             optimal = incmerge(instance, power, energy)
             reference = convex_laptop_makespan(instance, power, energy)
             baseline = uniform_speed_schedule(instance, power, energy)
-            server_a = minimum_energy_for_makespan(instance, power, optimal.makespan)
-            server_b = server_energy_via_yds(instance, power, optimal.makespan)
+            server_hull = minimum_energy_for_makespan(instance, power, optimal.makespan)
+            server_yds = server_energy_via_yds(instance, power, optimal.makespan)
             rows.append(
                 {
                     "workload": instance.name,
@@ -67,8 +67,8 @@ def _experiment():
                     "convex_ref": reference.makespan,
                     "uniform": baseline.makespan,
                     "uniform_penalty": baseline.makespan / optimal.makespan,
-                    "server_frontier": server_a,
-                    "server_yds": server_b,
+                    "server_hull": server_hull,
+                    "server_yds": server_yds,
                 }
             )
     return rows
@@ -80,7 +80,7 @@ def test_makespan_baselines(benchmark):
     for row in rows:
         assert row["convex_ref"] == pytest.approx(row["optimal"], rel=1e-4)
         assert row["uniform"] >= row["optimal"] - 1e-9
-        assert row["server_frontier"] == pytest.approx(row["energy"], rel=1e-6)
+        assert row["server_hull"] == pytest.approx(row["energy"], rel=1e-6)
         assert row["server_yds"] == pytest.approx(row["energy"], rel=1e-6)
 
     # the uniform baseline never wins, and loses strictly on every workload
@@ -93,12 +93,12 @@ def test_makespan_baselines(benchmark):
 
     table = [
         [r["workload"], r["energy"], r["optimal"], r["convex_ref"], r["uniform"],
-         r["uniform_penalty"], r["server_frontier"], r["server_yds"]]
+         r["uniform_penalty"], r["server_hull"], r["server_yds"]]
         for r in rows
     ]
     text = format_table(
         ["workload", "energy", "incmerge", "convex_ref", "uniform_speed",
-         "uniform/optimal", "server_energy_frontier", "server_energy_yds"],
+         "uniform/optimal", "server_energy_hull", "server_energy_yds"],
         table,
         title="Uniprocessor makespan: optimal vs baselines, and server-problem cross-check",
     )

@@ -5,7 +5,8 @@ This walks through the paper's two central questions on a small instance:
 * the *laptop problem* -- "given this much battery, how fast can I finish?"
   (solved exactly by IncMerge, Section 3.1 of the paper),
 * the *server problem* -- "given this deadline, how little energy do I need?"
-  (solved by inverting the non-dominated frontier, Section 3.2),
+  (YDS with every deadline at the target, solved by reversing time: one
+  upper hull over the jobs' windows),
 
 and prints the resulting schedules, their block structure and the energy /
 makespan trade-off curve.

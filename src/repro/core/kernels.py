@@ -312,8 +312,10 @@ def common_release_prefix_speeds(
     YDS critical intervals are deadline prefixes, so the optimal speeds are
     the slopes of the least concave majorant (upper hull) of the cumulative
     work staircase ``(t0, 0), (d_1, W_1), ..., (d_m, W_m)`` — the classic
-    prefix-density structure Optimal Available replans over.  A monotone
-    hull stack computes all slopes in one O(m) pass instead of one
+    prefix-density structure Optimal Available replans over, and, with time
+    reversed, the makespan server problem
+    (:func:`repro.makespan.server.speeds_for_windows`).  A monotone hull
+    stack computes all slopes in one O(m) pass instead of one
     critical-interval search per YDS round.
 
     Returns one speed per job, constant within each hull segment and

@@ -14,12 +14,13 @@ This module provides a metric-agnostic representation:
   first and second derivatives.  Segments carry an arbitrary ``label``/
   ``payload`` so algorithm modules can attach the block structure.
 * :class:`TradeoffCurve` -- an ordered collection of segments supporting
-  evaluation, sampling, analytic-or-numeric differentiation, inversion
-  (the *server problem*: minimum energy for a target value), breakpoint
+  evaluation, sampling, analytic-or-numeric differentiation, breakpoint
   queries and dominance comparison against other curves or point sets.
 
-The makespan frontier (:mod:`repro.makespan.frontier`) and the flow frontier
-(:mod:`repro.flow.frontier`) both return :class:`TradeoffCurve` objects.
+The makespan frontier (:mod:`repro.makespan.frontier`) returns a
+:class:`TradeoffCurve`.  The curve is not inverted here: the makespan server
+problem (minimum energy for a target) is solved directly by reversing time
+(:mod:`repro.makespan.server`).
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..exceptions import BudgetError, InfeasibleError, InvalidInstanceError
-from .roots import brentq
+from ..exceptions import BudgetError, InvalidInstanceError
 
 __all__ = ["CurveSegment", "TradeoffCurve"]
 
@@ -322,82 +322,6 @@ class TradeoffCurve:
         # as the budget vanishes), so start the grid a hair inside the range
         start = lo * (1 + 1e-9) if lo > 0.0 else hi * 1e-6
         return np.linspace(start, hi, int(n))
-
-    # ------------------------------------------------------------------
-    # inversion (the server problem)
-    # ------------------------------------------------------------------
-    def energy_for_value(self, target: float) -> float:
-        """Minimum energy whose optimal value is at most ``target``.
-
-        This is the *server problem*: fix the schedule quality, minimise
-        energy.  Raises :class:`InfeasibleError` when the target is below the
-        best value achievable anywhere on the curve.
-        """
-        # value is non-increasing in energy: scan segments from cheap to
-        # expensive and find the first that can reach the target.
-        for seg in self.segments:
-            hi = seg.energy_hi
-            if math.isfinite(hi):
-                v_hi = seg.value(hi)
-            else:
-                # open-ended final segment: probe a large budget to test
-                # achievability, then bracket adaptively below.
-                hi = max(seg.energy_lo * 2.0, seg.energy_lo + 1.0)
-                v_hi = seg.value(hi)
-                while v_hi > target and hi < 1e30:
-                    hi *= 2.0
-                    v_hi = seg.value(hi)
-            if v_hi > target + 1e-12:
-                continue
-            lo = seg.energy_lo
-            try:
-                v_lo = seg.value(lo)
-            except BudgetError:
-                # The value may be undefined at the segment's lower endpoint
-                # (e.g. the single-block makespan segment diverges as the
-                # budget approaches the fixed-block energy); treat it as +inf
-                # and bracket away from the endpoint below.
-                v_lo = math.inf
-            if v_lo <= target + 1e-12:
-                return float(lo)
-            if v_hi >= target:
-                # v_hi passed the acceptance screen above only by the 1e-12
-                # tolerance, so the true crossing sits (numerically) at the
-                # segment's upper edge; brentq would see the same sign at
-                # both ends and raise.
-                return float(hi)
-            if not math.isfinite(v_lo):
-                # March the bracket's lower end inward until the value is
-                # defined and still above the target.  A fixed relative nudge
-                # is not enough: on segments spanning many orders of magnitude
-                # the first probe can overshoot the crossing (its value already
-                # below the target), so shrink the bracket and retry whenever
-                # that happens.
-                nudge = (hi - lo) * 1e-12
-                for _ in range(200):
-                    probe = lo + nudge
-                    try:
-                        v_probe = seg.value(probe)
-                    except BudgetError:
-                        nudge *= 2.0
-                        continue
-                    if v_probe > target:
-                        lo = probe
-                        break
-                    # the probe already achieves the target: the crossing lies
-                    # between the endpoint and the probe
-                    hi = probe
-                    nudge *= 1e-6
-                else:  # pragma: no cover - defensive
-                    raise InfeasibleError(
-                        f"could not bracket the minimum energy for "
-                        f"{self.metric_name} = {target:g}"
-                    )
-            return brentq(lambda e: seg.value(e) - target, lo, hi, xtol=1e-12, rtol=1e-12)
-        raise InfeasibleError(
-            f"target {self.metric_name} = {target:g} is not achievable with any "
-            f"energy budget up to {self.max_energy:g}"
-        )
 
     # ------------------------------------------------------------------
     # structure checks

@@ -34,13 +34,14 @@ def _run_laptop(request: SolveRequest) -> tuple:
 
 
 def _run_server(request: SolveRequest) -> tuple:
-    from .incmerge import incmerge
-    from .server import minimum_energy_for_makespan
+    from ..core.kernels import energy_eval
+    from .server import server_speeds
 
-    energy = minimum_energy_for_makespan(request.instance, request.power, request.budget)
-    result = incmerge(request.instance, request.power, energy)
+    instance = request.instance
+    speeds = server_speeds(instance, request.budget)
+    energy = float(np.sum(energy_eval(request.power, instance.works, speeds)))
     extras = {"makespan_target": float(request.budget)}
-    return energy, result.energy, result.speeds, extras
+    return energy, energy, speeds, extras
 
 
 def _run_frontier(request: SolveRequest) -> tuple:
@@ -123,7 +124,7 @@ def register_solvers(registry) -> None:
         SolverCapabilities(
             name="server",
             spec=ProblemSpec(objective="makespan", mode="server"),
-            summary="minimum energy for a makespan target (frontier inversion)",
+            summary="minimum energy for a makespan target (time-reversed YDS hull)",
             budget_kind="metric",
             batchable=True,
             certificates=("budget-tightness", "optimal-structure"),

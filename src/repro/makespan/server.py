@@ -7,104 +7,63 @@ and the *server problem* (fix the metric, minimise energy).  For makespan the
 server problem asks: what is the least energy with which all jobs can finish
 by a common deadline ``T``?
 
-Two independent solvers are provided:
+That is the Yao-Demers-Shenker minimum-energy problem with every deadline
+equal to ``T``, and it is solved by reversing time.  The map ``t -> T - t``
+turns each release ``r_j`` into a deadline ``T - r_j`` and releases every job
+at once; a schedule and its reversal run each job at the same speeds for the
+same time, so they cost the same energy.  The YDS speeds of a common-release
+instance are the slopes of one upper hull of its cumulative work
+(:func:`repro.core.kernels.common_release_prefix_speeds`, one O(n) pass).  So
+:func:`speeds_for_windows` runs that hull on each job's *window* ``T - r_j``,
+read backwards, and reverses the speeds back.  Run in release order, those
+speeds end the first hull segment's jobs exactly at ``T``: the makespan is the
+target by construction, and the energy is the sum of the jobs' energies.
 
-* :func:`minimum_energy_for_makespan` inverts the non-dominated frontier of
-  Section 3.2 (each segment is strictly decreasing in energy, so the inverse
-  is computed in closed form for ``power = speed**alpha`` and by bracketed
-  root finding otherwise).
-* :func:`minimum_energy_for_makespan_direct` evaluates the final-block
-  configuration directly without constructing the whole curve: for a target
-  ``T`` it walks the same cascade of configurations and picks the one whose
-  validity interval contains ``T``.
-
-Both agree with the YDS common-deadline baseline in
-:mod:`repro.makespan.baselines`; the test suite cross-checks all three.
+:func:`repro.makespan.baselines.server_energy_via_yds` (general YDS) and the
+frontier inversion in the test oracles cross-check the hull.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..core.job import Instance
-from ..core.pareto import TradeoffCurve
+from ..core.kernels import common_release_prefix_speeds, energy_eval
 from ..core.power import PowerFunction
 from ..core.schedule import Schedule
 from ..exceptions import InfeasibleError
-from .frontier import FrontierSegmentInfo, makespan_frontier
-from .incmerge import incmerge
 
 __all__ = [
     "minimum_energy_for_makespan",
-    "minimum_energy_for_makespan_direct",
     "schedule_for_makespan",
+    "server_speeds",
+    "speeds_for_windows",
 ]
 
 
-def minimum_energy_for_makespan(
-    instance: Instance,
-    power: PowerFunction,
-    makespan_target: float,
-    frontier: TradeoffCurve | None = None,
-) -> float:
-    """Minimum energy needed to finish every job by ``makespan_target``.
+def speeds_for_windows(windows: np.ndarray, works: np.ndarray) -> np.ndarray:
+    """Minimum-energy speeds for jobs that must all finish at one common time.
 
-    A precomputed frontier (from :func:`repro.makespan.frontier.makespan_frontier`)
-    may be passed to amortise repeated queries.
+    ``windows[j] > 0`` is the time from job ``j``'s release to the common
+    finish time, so it is non-increasing over jobs in release order;
+    ``works`` is aligned with it.  Reversing time makes the windows
+    deadlines of a common-release instance, whose optimal speeds are the
+    slopes of one upper hull.
+    """
+    return common_release_prefix_speeds(0.0, windows[::-1], works[::-1])[::-1]
+
+
+def server_speeds(instance: Instance, makespan_target: float) -> np.ndarray:
+    """The per-job speeds of the server optimum for ``makespan_target``.
 
     Raises
     ------
     InfeasibleError
-        If the target precedes the last release time plus an infinitesimal
-        amount of processing (no finite-speed schedule can meet it).
+        If the target is not finite or does not exceed the last release time
+        (no finite-speed schedule can meet it).
     """
-    _check_target(instance, makespan_target)
-    curve = frontier if frontier is not None else makespan_frontier(instance, power)
-    return curve.energy_for_value(float(makespan_target))
-
-
-def minimum_energy_for_makespan_direct(
-    instance: Instance,
-    power: PowerFunction,
-    makespan_target: float,
-) -> float:
-    """Frontier-free evaluation of the server problem.
-
-    Walks the configurations of the non-dominated curve from the high-energy
-    end downwards and, for each, computes the energy at which that
-    configuration achieves exactly ``makespan_target``.  The first
-    configuration for which the required final-block speed is at least the
-    speed of its predecessor (Lemma 6) is the optimal one.
-    """
-    _check_target(instance, makespan_target)
-    curve = makespan_frontier(instance, power)
-    target = float(makespan_target)
-    for segment in curve.segments:
-        info: FrontierSegmentInfo = segment.payload
-        duration = target - info.final_start_time
-        if duration <= 0.0:
-            continue
-        speed = info.final_work / duration
-        energy = info.fixed_energy + power.energy(info.final_work, speed)
-        if segment.energy_lo - 1e-9 <= energy <= segment.energy_hi * (1 + 1e-12) + 1e-9:
-            return float(energy)
-    raise InfeasibleError(
-        f"no configuration achieves makespan {makespan_target:g}; the target is "
-        "below the infimum achievable with finite energy"
-    )
-
-
-def schedule_for_makespan(
-    instance: Instance,
-    power: PowerFunction,
-    makespan_target: float,
-) -> Schedule:
-    """The minimum-energy schedule meeting ``makespan_target`` (server optimum)."""
-    energy = minimum_energy_for_makespan(instance, power, makespan_target)
-    return incmerge(instance, power, energy).schedule()
-
-
-def _check_target(instance: Instance, makespan_target: float) -> None:
     if not math.isfinite(makespan_target):
         raise InfeasibleError(f"makespan target must be finite, got {makespan_target!r}")
     if makespan_target <= instance.last_release:
@@ -113,3 +72,24 @@ def _check_target(instance: Instance, makespan_target: float) -> None:
             f"time {instance.last_release:g}; the final job cannot finish in time "
             "at any finite speed"
         )
+    return speeds_for_windows(float(makespan_target) - instance.releases, instance.works)
+
+
+def minimum_energy_for_makespan(
+    instance: Instance,
+    power: PowerFunction,
+    makespan_target: float,
+) -> float:
+    """Minimum energy needed to finish every job by ``makespan_target``."""
+    speeds = server_speeds(instance, makespan_target)
+    return float(np.sum(energy_eval(power, instance.works, speeds)))
+
+
+def schedule_for_makespan(
+    instance: Instance,
+    power: PowerFunction,
+    makespan_target: float,
+) -> Schedule:
+    """The minimum-energy schedule meeting ``makespan_target`` (server optimum)."""
+    return Schedule.from_speeds(instance, power, server_speeds(instance, makespan_target))
+

@@ -9,9 +9,11 @@ arguments in the paper) are:
   job at the same time ``T``; otherwise energy could be moved from a processor
   that finishes early to the last-finishing one.  The minimum energy for a
   common finish time ``T`` is the sum of the per-processor server-problem
-  energies, each of which comes from the uniprocessor frontier.  Solving
+  energies, each a closed form over one upper hull of the processor's
+  windows to ``T`` (time reversal, :mod:`repro.makespan.server`).  Solving
   ``sum_p E_p(T) = E`` for ``T`` (the total is continuous and strictly
-  decreasing in ``T``) gives the optimal makespan for an energy budget.
+  decreasing in ``T``) is then the one numerical step of the optimal
+  makespan for an energy budget.
 * **Total flow**: every processor's *last* job runs at the same speed; with
   per-processor job orders fixed, that one speed and Theorem 1 determine
   every other speed, so one root-find on it solves all processors at once.
@@ -31,13 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.job import Instance
-from ..core.pareto import TradeoffCurve
+from ..core.kernels import energy_eval
 from ..core.power import PowerFunction
 from ..core.roots import brentq
 from ..core.schedule import Schedule
 from ..exceptions import BudgetError, InfeasibleError
 from ..flow.convex import release_order_flow
-from ..makespan.frontier import makespan_frontier
+from ..makespan.server import minimum_energy_for_makespan, speeds_for_windows
 from .cyclic import assignment_to_subinstances
 
 __all__ = [
@@ -92,20 +94,16 @@ def energy_for_assignment_makespan(
     power: PowerFunction,
     assignment: dict[int, list[int]],
     makespan_target: float,
-    frontiers: dict[int, TradeoffCurve] | None = None,
 ) -> float:
     """Minimum total energy for all processors to finish by ``makespan_target``."""
-    subs = assignment_to_subinstances(instance, assignment)
-    if frontiers is None:
-        frontiers = {p: makespan_frontier(sub, power) for p, sub in subs.items()}
     total = 0.0
-    for proc, sub in subs.items():
+    for proc, sub in assignment_to_subinstances(instance, assignment).items():
         if makespan_target <= sub.last_release:
             raise InfeasibleError(
                 f"processor {proc} has a job released at {sub.last_release:g}, after "
                 f"the makespan target {makespan_target:g}"
             )
-        total += frontiers[proc].energy_for_value(float(makespan_target))
+        total += minimum_energy_for_makespan(sub, power, makespan_target)
     return float(total)
 
 
@@ -114,60 +112,55 @@ def makespan_for_assignment(
     power: PowerFunction,
     assignment: dict[int, list[int]],
     energy_budget: float,
-    tol: float = 1e-11,
 ) -> AssignedMakespanResult:
     """Optimal makespan for a fixed assignment and shared energy budget.
 
-    Solves ``sum_p E_p(T) = energy_budget`` for the common finish time ``T``
-    by bracketed root finding on the (strictly decreasing, continuous) total
-    energy, then recovers each processor's schedule from its own frontier /
-    IncMerge solution at its share of the energy.
+    Every processor finishes at the common time ``T``, and each processor's
+    least energy for ``T`` is one hull pass over its jobs' windows to ``T``
+    (:func:`repro.makespan.server.speeds_for_windows`).  So the only
+    numerical step is the root-find of ``sum_p E_p(T) = energy_budget`` (the
+    total is continuous and strictly decreasing).  It runs on the window
+    ``u = T - r_last`` after the last release, where processor ``p``'s
+    windows are ``u + (r_last - r_j)``: the energy and the tolerances then
+    scale with the instance's windows, not with its absolute times.
     """
     if energy_budget <= 0.0 or not math.isfinite(energy_budget):
         raise BudgetError(f"energy budget must be finite and > 0, got {energy_budget}")
     subs = assignment_to_subinstances(instance, assignment)
-    frontiers = {p: makespan_frontier(sub, power) for p, sub in subs.items()}
+    last_release = instance.last_release
+    works = [sub.works for sub in subs.values()]
+    lags = [last_release - sub.releases for sub in subs.values()]
 
-    last_release = max(sub.last_release for sub in subs.values())
+    def solve_at(u: float) -> tuple[list[np.ndarray], list[float]]:
+        speeds = [speeds_for_windows(u + lag, w) for lag, w in zip(lags, works)]
+        energies = [float(np.sum(energy_eval(power, w, s))) for w, s in zip(works, speeds)]
+        return speeds, energies
 
-    def total_energy(T: float) -> float:
-        return energy_for_assignment_makespan(
-            instance, power, assignment, T, frontiers=frontiers
-        )
+    def excess(u: float) -> float:
+        return sum(solve_at(u)[1]) - energy_budget
 
-    # bracket the makespan: lower bound just above the last release, upper
-    # bound grown until the energy needed drops below the budget.
-    lo = last_release + 1e-9 * max(1.0, abs(last_release)) + 1e-12
-    hi = max(last_release + 1.0, 2.0 * last_release + 1.0)
-    while total_energy(hi) > energy_budget:
-        hi = last_release + (hi - last_release) * 2.0
-        if hi > 1e15:
-            raise InfeasibleError("could not bracket the optimal makespan (budget too small?)")
-    # ensure lo is genuinely infeasible (needs more energy than the budget);
-    # if even lo is affordable the optimum is essentially the last release.
-    tries = 0
-    while total_energy(lo) < energy_budget and tries < 60:
-        lo = last_release + (lo - last_release) / 4.0
-        tries += 1
-    makespan = brentq(lambda T: total_energy(T) - energy_budget, lo, hi, xtol=tol, rtol=1e-13)
+    # bracket the root by doubling from the time the work takes at unit
+    # speed; the total energy is infinite at u -> 0 and vanishes as u -> inf,
+    # so both searches stop within the float range
+    lo = hi = instance.total_work
+    if excess(lo) > 0.0:
+        hi = 2.0 * lo
+        while excess(hi) > 0.0:
+            lo, hi = hi, 2.0 * hi
+    else:
+        lo = 0.5 * hi
+        while excess(lo) <= 0.0:
+            lo, hi = 0.5 * lo, lo
+    u = brentq(excess, lo, hi, xtol=1e-15 * lo, rtol=1e-15)
 
-    # recover the per-job speeds: each processor solves its server problem at T
-    from ..makespan.incmerge import incmerge  # local import to avoid cycles
-
+    per_proc_speeds, energies = solve_at(u)
     speeds = np.empty(instance.n_jobs)
-    per_proc_energy: dict[int, float] = {}
-    for proc, sub in subs.items():
-        energy_p = frontiers[proc].energy_for_value(makespan)
-        per_proc_energy[proc] = energy_p
-        result = incmerge(sub, power, energy_p)
-        # map the sub-instance's job order back to original indices
-        original_indices = sorted(assignment[proc])
-        for local_index, original in enumerate(original_indices):
-            speeds[original] = result.speeds[local_index]
-    total = float(sum(per_proc_energy.values()))
+    for proc, proc_speeds in zip(subs, per_proc_speeds):
+        speeds[sorted(assignment[proc])] = proc_speeds
+    per_proc_energy = dict(zip(subs, energies))
     return AssignedMakespanResult(
-        makespan=makespan,
-        energy=total,
+        makespan=last_release + u,
+        energy=float(sum(energies)),
         assignment={p: list(jobs) for p, jobs in assignment.items() if jobs},
         speeds=speeds,
         per_processor_energy=per_proc_energy,

@@ -17,7 +17,7 @@ solvers are the best available certificates.  Two regimes are covered:
   ``L_alpha`` norm objective the paper points at for the PTAS remark.
 * **Arbitrary release times**: every assignment is evaluated with the
   fixed-assignment solver of :mod:`repro.multi.assigned` (per-processor
-  frontiers + common finish time).
+  server hulls + common finish time).
 
 Both searches prune the symmetric copies obtained by permuting processor
 labels (job 0 is pinned to processor 0, and a new processor index may be

@@ -129,9 +129,10 @@ def edf_schedule_at_speeds(
     Event-driven: released jobs wait in a ``(deadline, index)`` min-heap
     that is touched only at releases and completions, consecutive pieces of
     one job are merged as they are emitted, and the pieces are kept as
-    columns for :meth:`Schedule.from_columns`.  A residual whose finish time
-    rounds to the current time (below the clock's resolution at large
-    absolute times) counts as done.
+    columns for :meth:`Schedule.from_columns`.  A residual that would finish
+    within 1e-15 of the current time (below the clock's resolution at large
+    absolute times, or a rounding remnant run at a very high speed) counts
+    as done.
     """
     _require_deadlines(instance)
     speeds = np.asarray(speeds, dtype=float)
@@ -165,21 +166,22 @@ def edf_schedule_at_speeds(
         job = pending[0][1]
         speed = speed_of[job]
         finish = t + remaining[job] / speed
-        if finish == t:
-            # a residual below the clock's resolution at t: done
+        if finish <= t + 1e-15:
+            # done: otherwise t creeps by ulps while the work never shrinks
             remaining[job] = 0.0
             continue
+        # the piece is not empty: finish > t + 1e-15, and the next release
+        # is after t + 1e-12 (every earlier one was pushed above)
         release = releases[next_job] if next_job < n else math.inf
         end = finish if finish < release else release
-        if end > t + 1e-15:
-            # a job keeps its one speed, so only the times decide a merge
-            if jobs_col and jobs_col[-1] == job and math.isclose(ends_col[-1], t, abs_tol=1e-12):
-                ends_col[-1] = end
-            else:
-                jobs_col.append(job)
-                starts_col.append(t)
-                ends_col.append(end)
-            remaining[job] -= speed * (end - t)
+        # a job keeps its one speed, so only the times decide a merge
+        if jobs_col and jobs_col[-1] == job and math.isclose(ends_col[-1], t, abs_tol=1e-12):
+            ends_col[-1] = end
+        else:
+            jobs_col.append(job)
+            starts_col.append(t)
+            ends_col.append(end)
+        remaining[job] -= speed * (end - t)
         t = end
     else:  # pragma: no cover - defensive
         raise InfeasibleError("EDF simulation did not terminate")

@@ -62,8 +62,9 @@ from typing import Callable
 
 import numpy as np
 
+from ..exceptions import InvalidScheduleError
 from .report import Finding
-from .structural import _MARGIN, VerificationContext
+from .structural import _MARGIN, VerificationContext, parse_assignment
 
 __all__ = ["CHECKERS", "checker"]
 
@@ -849,17 +850,13 @@ def check_cyclic_assignment(ctx: VerificationContext) -> list[Finding]:
     """The reported assignment is a partition distributed cyclically (Theorem 10)."""
     from ..multi.cyclic import cyclic_assignment
 
-    raw = ctx.result.extras.get("assignment")
-    if not isinstance(raw, dict):
-        return [
-            Finding(
-                code="assignment-missing",
-                check="cyclic-assignment",
-                message="multiprocessor result carries no 'assignment' in extras",
-            )
-        ]
     n = ctx.request.instance.n_jobs
-    assignment = {int(proc): [int(j) for j in jobs] for proc, jobs in raw.items()}
+    try:
+        assignment = parse_assignment(ctx.result.extras.get("assignment"), n)
+    except InvalidScheduleError as exc:
+        return [
+            Finding(code="assignment-invalid", check="cyclic-assignment", message=str(exc))
+        ]
     assigned = [j for jobs in assignment.values() for j in jobs]
     if sorted(assigned) != list(range(n)):
         return [

@@ -38,6 +38,7 @@ schedule gives.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -46,7 +47,7 @@ import numpy as np
 
 from ..core.kernels import energy_eval, interval_work_grid, jensen_window_bound
 from ..core.schedule import Schedule
-from ..exceptions import ReproError
+from ..exceptions import InvalidScheduleError, ReproError
 from .report import Finding
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -57,6 +58,7 @@ __all__ = [
     "check_envelope",
     "check_schedule",
     "check_accounting",
+    "parse_assignment",
     "reconstruct_schedule",
 ]
 
@@ -216,6 +218,45 @@ def check_envelope(ctx: VerificationContext) -> list[Finding]:
 # schedule reconstruction
 # ----------------------------------------------------------------------
 
+def parse_assignment(raw: object, n_jobs: int) -> dict[int, list[int]]:
+    """A multiprocessor result's ``extras['assignment']`` as ``{processor: jobs}``.
+
+    A processor key is an integer or, as JSON object keys are, its decimal
+    string (``"0"``); every job entry is an integer in ``0..n_jobs-1``.  A
+    bool, float or string entry is rejected, not coerced: ``4.7`` and
+    ``"4"`` do not name job 4.  Raises :class:`InvalidScheduleError` naming
+    the first bad key or entry.
+    """
+    if not isinstance(raw, dict):
+        raise InvalidScheduleError(
+            "multiprocessor result carries no 'assignment' in extras"
+        )
+    assignment: dict[int, list[int]] = {}
+    for key, jobs in raw.items():
+        if not (
+            _is_integer(key) and key >= 0
+            or isinstance(key, str) and key.isascii() and key.isdigit()
+        ):
+            raise InvalidScheduleError(f"assignment key {key!r} is not a processor index")
+        proc = int(key)
+        if not isinstance(jobs, (list, tuple)):
+            raise InvalidScheduleError(
+                f"processor {proc} is assigned {jobs!r}, not a list of jobs"
+            )
+        for j in jobs:
+            if not _is_integer(j) or not 0 <= j < n_jobs:
+                raise InvalidScheduleError(
+                    f"processor {proc} is assigned job {j!r}, but the "
+                    f"instance's jobs are the integers 0..{n_jobs - 1}"
+                )
+        assignment[proc] = [int(j) for j in jobs]
+    return assignment
+
+
+def _is_integer(value: object) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def reconstruct_schedule(
     request: "SolveRequest",
     result: "SolveResult",
@@ -232,22 +273,9 @@ def reconstruct_schedule(
     if result.speeds is None:
         return None
     if capabilities.multiprocessor:
-        from ..exceptions import InvalidScheduleError
-
-        raw = result.extras.get("assignment")
-        if not isinstance(raw, dict):
-            raise InvalidScheduleError(
-                "multiprocessor result carries no 'assignment' in extras"
-            )
-        assignment = {int(proc): [int(j) for j in jobs] for proc, jobs in raw.items()}
-        n = request.instance.n_jobs
-        for proc, jobs in assignment.items():
-            for j in jobs:
-                if not 0 <= j < n:
-                    raise InvalidScheduleError(
-                        f"processor {proc} is assigned job {j}, but the "
-                        f"instance's jobs are 0..{n - 1}"
-                    )
+        assignment = parse_assignment(
+            result.extras.get("assignment"), request.instance.n_jobs
+        )
         return Schedule.from_processor_speeds(
             request.instance,
             request.power,
@@ -571,32 +599,15 @@ def check_accounting(ctx: VerificationContext) -> list[Finding]:
     if value is None:
         return findings
     objective = caps.objective
-    mode = caps.mode
-    if objective == "energy":
-        # deadline-feasibility solvers report their energy as the value
+    if objective == "energy" or caps.mode == "server":
+        # deadline-feasibility and server-mode solvers minimise energy and
+        # report it as the value
         if result.energy is not None and not _isclose(value, result.energy, ctx.rtol):
             findings.append(
                 Finding(
                     code="value-energy-inconsistent",
                     check="accounting",
-                    message=(
-                        f"energy-objective value {value:g} != reported energy "
-                        f"{result.energy:g}"
-                    ),
-                    data={"value": value, "energy": result.energy},
-                )
-            )
-    elif mode == "server":
-        # server mode minimises energy; the value *is* the minimum energy
-        if result.energy is not None and not _isclose(value, result.energy, 1e-3):
-            findings.append(
-                Finding(
-                    code="value-energy-inconsistent",
-                    check="accounting",
-                    message=(
-                        f"server-mode value {value:g} (minimum energy) != energy "
-                        f"{result.energy:g} of the returned schedule"
-                    ),
+                    message=f"value {value:g} != reported energy {result.energy:g}",
                     data={"value": value, "energy": result.energy},
                 )
             )

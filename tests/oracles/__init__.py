@@ -43,7 +43,11 @@ replaced lives here, unchanged, as the references the equivalence suites
   checks must equal with ``==``;
 * :mod:`oracles.anytime` -- the double-loop Jensen window bound
   :func:`~oracles.anytime.jensen_energy_lower_bound_loop`, which the
-  one-expression grid bound must match to rounding.
+  one-expression grid bound must match to rounding;
+* :mod:`oracles.frontier` -- the makespan server problem by inverting the
+  non-dominated frontier, :func:`~oracles.frontier.energy_for_value` and
+  :func:`~oracles.frontier.frontier_server_energy`, which the time-reversed
+  hull must match.
 
 Import them as ``from oracles.bkp import ...`` (``tests/`` is on
 ``sys.path`` under pytest; the benchmarks add it themselves).

@@ -15,6 +15,7 @@ from repro.multi import (
     flow_for_assignment,
     makespan_for_assignment,
 )
+from repro.workloads import equal_work_instance
 
 
 @pytest.fixture
@@ -69,6 +70,18 @@ class TestMakespanForAssignment:
     def test_bad_assignment_rejected(self, inst, cube):
         with pytest.raises(InvalidInstanceError):
             makespan_for_assignment(inst, cube, {0: [0, 1]}, 5.0)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e4, 1e6])
+    def test_budget_met_whatever_the_time_shift(self, shift, cube):
+        # the root-find runs on the window after the last release, so the
+        # energy does not lose digits to the absolute times
+        for seed in range(10):
+            inst = equal_work_instance(10, seed=seed)
+            assignment = cyclic_assignment(inst.n_jobs, 3)
+            base = makespan_for_assignment(inst, cube, assignment, 20.0)
+            moved = makespan_for_assignment(inst.shifted(shift), cube, assignment, 20.0)
+            assert abs(moved.energy - 20.0) <= 20.0 * 1e-12
+            assert moved.makespan - shift == pytest.approx(base.makespan, rel=1e-9)
 
 
 class TestFlowForAssignment:

@@ -12,7 +12,7 @@ root), never a tolerance:
   products underflow; every ``xtol`` and ``rtol`` a call site passes;
 * the error contract: the same exception type as scipy for a same-sign
   bracket, a NaN value, non-convergence and a bad tolerance;
-* each of the seven call sites, run once on the port and once with the
+* each of the six call sites, run once on the port and once with the
   module's ``brentq`` swapped for scipy's.
 """
 
@@ -28,13 +28,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _strategies import hypothesis_settings
-from repro.core import CUBE, AffinePolynomialPower, Instance, TabulatedConvexPower, pareto
+from repro.core import CUBE, AffinePolynomialPower, Instance, TabulatedConvexPower
 from repro.core import power as power_module
 from repro.core.roots import brentq
 from repro.flow import impossibility
-from repro.makespan import makespan_frontier
 from repro.multi import assigned, exact
-from repro.workloads import figure1_instance
 
 #: The tolerances the call sites pass, plus scipy's defaults.
 XTOLS = (1e-300, 1e-15, 1e-14, 1e-12, 2e-12)
@@ -183,9 +181,6 @@ CALL_SITES = {
     ),
     "power-tabulated-energy-per-work": (
         power_module, lambda: _TABULATED.speed_for_energy_per_work(4.2)
-    ),
-    "pareto-energy-for-value": (
-        pareto, lambda: makespan_frontier(figure1_instance(), CUBE).energy_for_value(9.3)
     ),
     "assigned-makespan": (
         assigned,

@@ -121,6 +121,14 @@ class TestNegativePaths:
         bad = dataclasses.replace(result, value=result.value * 0.9)
         assert "value-mismatch" in verify(request, bad).codes()
 
+    def test_server_value_off_its_energy_rejected(self, fig1):
+        # a server answer's value is its energy, checked at the same
+        # tolerance as the deadline family's
+        request, result = _solved("server", instance=fig1, budget=7.0)
+        assert result.value == result.energy
+        bad = dataclasses.replace(result, value=result.value * (1.0 + 1e-4))
+        assert "value-energy-inconsistent" in verify(request, bad).codes()
+
     def test_budget_overrun_rejected(self, laptop_pair):
         request, result = laptop_pair
         # consistently faster schedule: accounting passes, tightness fails
@@ -245,8 +253,11 @@ class TestNegativePaths:
             ({"0": [0, 2, 99], "1": [1, 3]}, "job 99"),
             ({"0": [0, 2, -1], "1": [1, 3]}, "job -1"),
             ({"0": [0, 2, 4, 1], "1": [1, 3]}, "job 1"),
+            ({"0": [0, 2, 4.7], "1": [1, 3]}, "job 4.7"),
+            ({"0": [0, 2, "4"], "1": [1, 3]}, "job '4'"),
+            ({"0": [0, 2, True], "1": [1, 3, 4]}, "job True"),
         ],
-        ids=["past-the-end", "negative", "duplicated"],
+        ids=["past-the-end", "negative", "duplicated", "float", "string", "bool"],
     )
     def test_tampered_job_index_is_a_finding_that_names_it(
         self, solver, assignment, named

@@ -73,6 +73,28 @@ class TestYDSSchedule:
             return
         assert optimal.energy <= naive.energy * (1 + 1e-9)
 
+    def test_tight_common_window_solves_and_verifies(self):
+        # at deadlines 1e-6 after the last release the speeds reach ~1.5e6,
+        # so a rounding residual of > 1e-12 work needs under 1e-15 time; the
+        # executor counts it as done instead of looping until its cap
+        from repro.api import SolveRequest, solve, verify
+
+        releases = [0.0, 2.0, 3.0, 3.0, 3.0, 3.0, 4.0]
+        works = [2.6717869904995433, 1.5498000726205894, 2.883528945183492,
+                 0.5029326704725922, 2.3711598972191013, 1.471746376400298,
+                 1.4741653728100947]
+        target = 4.000001
+        inst = Instance.from_arrays(releases, works, deadlines=[target] * 7)
+        request = SolveRequest(instance=inst, power=CUBE, solver="yds")
+        result = solve(request)
+        assert result.ok, result.error_message
+        assert verify(request, result).ok
+        # ulp(T) / (T - r_n) bounds the energy's conditioning here
+        assert result.energy == pytest.approx(
+            minimum_energy_for_makespan(Instance.from_arrays(releases, works), CUBE, target),
+            rel=1e-9,
+        )
+
     def test_intensity_is_max_over_intervals(self):
         inst = Instance.from_arrays([0.0, 4.0], [8.0, 4.0], deadlines=[10.0, 6.0])
         result = yds_speeds(inst)
