@@ -66,6 +66,7 @@ __all__ = [
     "jensen_window_bound",
     "stepwise_rate_profile",
     "common_release_prefix_speeds",
+    "common_release_prefix_speed_list",
     "PaddedBatch",
     "pack_instances",
     "BatchWorkspace",
@@ -318,27 +319,39 @@ def common_release_prefix_speeds(
     stack computes all slopes in one O(m) pass instead of one
     critical-interval search per YDS round.
 
-    Returns one speed per job, constant within each hull segment and
-    strictly decreasing across segments.
+    Returns one speed per job as an array, constant within each hull segment
+    and strictly decreasing across segments.  This is a thin wrapper: the
+    hull is :func:`common_release_prefix_speed_list`, which Optimal
+    Available calls on its lists directly.
     """
-    deadline_list = (
-        deadlines.tolist() if isinstance(deadlines, np.ndarray) else list(deadlines)
+    return np.array(
+        common_release_prefix_speed_list(
+            float(t0), np.asarray(deadlines).tolist(), np.asarray(works).tolist()
+        ),
+        dtype=float,
     )
-    work_list = works.tolist() if isinstance(works, np.ndarray) else list(works)
-    m = len(deadline_list)
 
+
+def common_release_prefix_speed_list(
+    t0: float, deadlines: list[float], works: list[float]
+) -> list[float]:
+    """:func:`common_release_prefix_speeds` on Python lists of floats.
+
+    The one hull loop: plain lists, because Optimal Available
+    (:func:`repro.online.oa.oa_schedule_incremental`) replans once per
+    release on residual sets of a few dozen jobs, where each NumPy call's
+    fixed cost exceeds its arithmetic.  Returns a list of ``len(works)``
+    speeds.
+    """
     # hull vertices (x, y) with the index of the last job in each segment;
-    # slopes[j] is the slope into vertex j+1 and strictly decreases.  Plain
-    # Python lists: this loop runs once per OA event on mostly-small residual
-    # sets, where per-element NumPy scalar indexing would dominate.
-    xs = [float(t0)]
+    # slopes[j] is the slope into vertex j+1 and strictly decreases
+    xs = [t0]
     ys = [0.0]
     last_job = [-1]
     slopes: list[float] = []
     y = 0.0
-    for k in range(m):
-        x = deadline_list[k]
-        y += work_list[k]
+    for k, x in enumerate(deadlines):
+        y += works[k]
         if x <= xs[0]:
             raise ValueError(
                 f"deadline {x:g} is not after the common availability time {t0:g}"
@@ -361,11 +374,9 @@ def common_release_prefix_speeds(
         ys.append(y)
         last_job.append(k)
 
-    speeds = np.empty(m)
-    lo = 0
-    for j in range(1, len(last_job)):
-        speeds[lo : last_job[j] + 1] = slopes[j - 1]
-        lo = last_job[j] + 1
+    speeds: list[float] = []
+    for j, slope in enumerate(slopes):
+        speeds += [slope] * (last_job[j + 1] - last_job[j])
     return speeds
 
 

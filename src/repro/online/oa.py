@@ -10,11 +10,16 @@ the next arrival.
 :func:`oa_schedule_incremental` exploits the fact that every residual
 instance OA plans over is a *common-release* instance (all residual jobs are
 available "now"), for which the YDS plan is just the prefix-density
-staircase (:func:`repro.core.kernels.common_release_prefix_speeds`).  The
-deadline-sorted residual-work arrays are maintained *incrementally* across
-releases — new arrivals are merged in by binary insertion and executed work
-is subtracted in place — so each event costs one O(m) hull pass plus a few
-vector operations instead of a full YDS solve.
+staircase (:func:`repro.core.kernels.common_release_prefix_speed_list`).
+The residual jobs are kept deadline-sorted *incrementally* across releases —
+new arrivals are merged in by binary insertion, finished jobs leave — so each
+event costs one O(m) hull pass plus a walk over the jobs that run before the
+next release, instead of a full YDS solve.  The event loop runs on Python
+floats and lists: its residual sets hold a few dozen jobs, where each NumPy
+call's fixed cost exceeds its arithmetic.  Every float operation is the one
+the array formulation performs, in the same order (the run times are summed
+sequentially, as a 1-D ``np.cumsum`` adds), so schedules are bit for bit
+those of ``oracles.oa.oa_schedule_incremental_pieces``.
 
 ``tests/test_online_equivalence.py`` pins it at 1e-9 relative energy to the
 policy simulated literally (a full YDS plan per arrival, realised by EDF:
@@ -24,11 +29,10 @@ policy simulated literally (a full YDS plan per arrival, realised by EDF:
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from bisect import bisect_left
 
 from ..core.job import Instance
-from ..core.kernels import common_release_prefix_speeds
+from ..core.kernels import common_release_prefix_speed_list
 from ..core.power import PowerFunction
 from ..core.schedule import Schedule
 from ..exceptions import InfeasibleError, InvalidInstanceError
@@ -39,86 +43,93 @@ __all__ = ["oa_schedule_incremental"]
 def oa_schedule_incremental(instance: Instance, power: PowerFunction) -> Schedule:
     """Run Optimal Available with the incremental prefix-density planner.
 
-    Maintains the residual jobs in one deadline-sorted structure across
-    release events.  At each event the newly released jobs are merged in by
-    binary insertion, the plan is recomputed as the upper hull of the
-    residual cumulative-work staircase, and the plan is executed (jobs run
-    back-to-back in deadline order at their staircase speeds) until the next
-    release, subtracting the executed work in place.  Each event's executed
-    pieces are kept as columns, and the result is built by
+    Keeps the residual jobs as two deadline-sorted lists (job index and
+    deadline) across release events.  At each event:
+
+    * the arrivals, sorted by deadline (ties in release order), are inserted
+      by ``bisect_left``; each position is taken on the residual deadlines as
+      they stood before the event, plus the number of arrivals already
+      inserted, so an arrival goes before a residual job with an equal
+      deadline and tied arrivals keep release order;
+    * the plan is the upper hull of the residual cumulative-work staircase;
+    * the plan runs jobs back to back in deadline order at their hull speeds,
+      with a running sum of run times, up to the first job that starts at or
+      after ``next_event - 1e-15``; executed work is subtracted, and jobs
+      left with at most 1e-12 work leave the residual lists.
+
+    The executed pieces are kept as columns, and the result is built by
     :meth:`Schedule.from_columns`.
     """
     if not instance.has_deadlines():
         raise InvalidInstanceError("OA requires deadlines on every job")
 
-    releases = instance.releases
-    deadlines = instance.deadlines
-    events = sorted(set(float(r) for r in releases))
-    remaining = instance.works.astype(float).copy()
+    releases = instance.releases.tolist()
+    deadlines = instance.deadlines.tolist()
+    works = instance.works.tolist()
+    remaining = list(works)
+    events = sorted(set(releases))
+    n = len(releases)
     # executed pieces, kept as columns
     jobs_col: list[int] = []
     starts_col: list[float] = []
     ends_col: list[float] = []
     speeds_col: list[float] = []
 
-    # residual structure: original job indices sorted by deadline; jobs enter
-    # at their release event and leave (lazily) once their work is exhausted.
-    order = np.empty(0, dtype=np.intp)
+    # residual jobs in deadline order: original indices and their deadlines.
+    # Every job in them has more than 1e-12 work left.
+    res_jobs: list[int] = []
+    res_deadlines: list[float] = []
     next_new = 0  # jobs[next_new:] have not been released yet (release order)
-    n = instance.n_jobs
 
     for k, now in enumerate(events):
         next_event = events[k + 1] if k + 1 < len(events) else math.inf
-        # merge newly released jobs into the deadline-sorted order
         first_new = next_new
         while next_new < n and releases[next_new] <= now + 1e-12:
             next_new += 1
-        if next_new > first_new:
-            new_jobs = np.arange(first_new, next_new, dtype=np.intp)
-            # sort the arriving batch by deadline first: searchsorted positions
-            # only interleave against the existing order, they do not order
-            # same-position (same-event) arrivals among themselves
-            new_jobs = new_jobs[np.argsort(deadlines[new_jobs], kind="stable")]
-            positions = np.searchsorted(
-                deadlines[order], deadlines[new_jobs], side="left"
-            )
-            order = np.insert(order, positions, new_jobs)
-        # drop exhausted jobs (same residual-work threshold as the reference)
-        order = order[remaining[order] > 1e-12]
-        if len(order) == 0:
+        arrivals = sorted(
+            (j for j in range(first_new, next_new) if works[j] > 1e-12),
+            key=deadlines.__getitem__,
+        )
+        positions = [bisect_left(res_deadlines, deadlines[j]) for j in arrivals]
+        for i, (position, job) in enumerate(zip(positions, arrivals)):
+            res_jobs.insert(position + i, job)
+            res_deadlines.insert(position + i, deadlines[job])
+        if not res_jobs:
             continue
-        res_deadlines = deadlines[order]
         if res_deadlines[0] <= now:
             raise InfeasibleError(
-                f"job {int(order[0])} still has residual work at its deadline "
+                f"job {res_jobs[0]} still has residual work at its deadline "
                 f"{res_deadlines[0]:g} (time {now:g}); the instance is infeasible"
             )
-        res_works = remaining[order]
-        speeds = common_release_prefix_speeds(now, res_deadlines, res_works)
-        # the plan runs jobs back-to-back in deadline order from `now`
-        ends = now + np.cumsum(res_works / speeds)
-        starts = np.empty_like(ends)
-        starts[0] = now
-        starts[1:] = ends[:-1]
+        res_works = [remaining[j] for j in res_jobs]
+        speeds = common_release_prefix_speed_list(now, res_deadlines, res_works)
         # execute the plan until the next release (same truncation guards as
         # the scalar reference loop)
-        n_exec = int(np.searchsorted(starts, next_event - 1e-15, side="left"))
-        for job, start, end, speed in zip(
-            order[:n_exec].tolist(),
-            starts[:n_exec].tolist(),
-            ends[:n_exec].tolist(),
-            speeds[:n_exec].tolist(),
-        ):
-            end = min(end, next_event)
-            if end <= start + 1e-15:
-                continue
-            remaining[job] -= speed * (end - start)
-            jobs_col.append(job)
-            starts_col.append(start)
-            ends_col.append(end)
-            speeds_col.append(speed)
+        cutoff = next_event - 1e-15
+        start = now
+        planned = 0.0
+        n_exec = 0
+        for job, work, speed in zip(res_jobs, res_works, speeds):
+            if start >= cutoff:
+                break
+            n_exec += 1
+            planned += work / speed
+            end = now + planned
+            piece_end = min(end, next_event)
+            if piece_end > start + 1e-15:
+                remaining[job] -= speed * (piece_end - start)
+                jobs_col.append(job)
+                starts_col.append(start)
+                ends_col.append(piece_end)
+                speeds_col.append(speed)
+            start = end
+        # only the executed jobs' work changed: drop the ones it exhausted
+        kept = [i for i in range(n_exec) if remaining[res_jobs[i]] > 1e-12]
+        if len(kept) < n_exec:
+            res_jobs[:n_exec] = [res_jobs[i] for i in kept]
+            res_deadlines[:n_exec] = [res_deadlines[i] for i in kept]
 
-    if np.any(remaining > 1e-6 * instance.works):
-        bad = [int(i) for i in np.where(remaining > 1e-6 * instance.works)[0]]
+    bad = [j for j in range(n) if remaining[j] > 1e-6 * works[j]]
+    if bad:
         raise InvalidInstanceError(f"OA left unfinished work on jobs {bad}")
     return Schedule.from_columns(instance, power, jobs_col, starts_col, ends_col, speeds_col)

@@ -478,6 +478,24 @@ def test_columnar_oa_bitwise_hypothesis(inst):
     )
 
 
+@pytest.mark.parametrize(
+    "inst",
+    [
+        # the arrivals tie the residual job's deadline: they go before it
+        Instance.from_arrays([0, 1, 1], [1, 1, 1], deadlines=[3, 3, 3]),
+        # tied arrivals that tie no residual job keep their release order
+        Instance.from_arrays([0, 1, 1, 1], [1, 2, 1, 1], deadlines=[2, 4, 4, 5]),
+    ],
+    ids=["arrivals-tie-a-residual-job", "tied-arrivals-only"],
+)
+def test_columnar_oa_insertion_order_bitwise(inst):
+    """Where OA inserts arrivals with equal deadlines, pinned outside the
+    slow split: the residual order decides which tied job runs first."""
+    _assert_schedules_identical(
+        oa_schedule_incremental(inst, CUBE), oa_schedule_incremental_pieces(inst, CUBE)
+    )
+
+
 def test_per_job_speed_executor_finishes_residuals_below_the_clock_resolution():
     """Near t = 1e4 a residual just above 1e-12 runs for less than half the
     float spacing at t; the rescanning loop then cannot advance and raises,
