@@ -54,8 +54,14 @@ def oa_schedule_incremental(instance: Instance, power: PowerFunction) -> Schedul
     * the plan is the upper hull of the residual cumulative-work staircase;
     * the plan runs jobs back to back in deadline order at their hull speeds,
       with a running sum of run times, up to the first job that starts at or
-      after ``next_event - 1e-15``; executed work is subtracted, and jobs
-      left with at most 1e-12 work leave the residual lists.
+      after ``next_event - 1e-15``;
+    * a job whose planned end lies at or before the next release is done by
+      plan: its remaining work is set to zero.  Only the piece the next
+      release cuts has its executed work subtracted.  Subtracting from a
+      finished job would leave a rounding residual, which from t ~ 1e4 on
+      exceeds the 1e-12 below which a job counts as done, and the job would
+      then stall at its deadline;
+    * jobs left with at most 1e-12 work leave the residual lists.
 
     The executed pieces are kept as columns, and the result is built by
     :meth:`Schedule.from_columns`.
@@ -117,7 +123,13 @@ def oa_schedule_incremental(instance: Instance, power: PowerFunction) -> Schedul
             end = now + planned
             piece_end = min(end, next_event)
             if piece_end > start + 1e-15:
-                remaining[job] -= speed * (piece_end - start)
+                if end <= next_event:
+                    # the piece is not cut: its job is done by plan.  The
+                    # subtraction would leave a rounding residual, above the
+                    # 1e-12 drop test far from t = 0
+                    remaining[job] = 0.0
+                else:
+                    remaining[job] -= speed * (piece_end - start)
                 jobs_col.append(job)
                 starts_col.append(start)
                 ends_col.append(piece_end)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.api import SolveRequest, solve, verify
 from repro.core import CUBE, Instance, PolynomialPower
 from repro.exceptions import InvalidInstanceError
 from oracles.bkp import bkp_speed_at
@@ -81,6 +82,19 @@ class TestOA:
         oa_energy = oa_schedule_incremental(inst, power).energy
         opt = yds_schedule(inst, power).energy
         assert opt <= oa_energy <= 4.0 * opt * (1 + 1e-9)
+
+    @pytest.mark.parametrize("offset, rtol", [(1e4, 1e-9), (1e6, 1e-6), (1.7e9, 1e-5)])
+    def test_solves_and_verifies_at_large_absolute_times(self, offset, rtol):
+        # a finished job's rounding residual exceeded the 1e-12 drop test
+        # far from t = 0 and outlived the job's deadline
+        for seed in range(10):
+            inst = deadline_instance(16, seed=seed)
+            request = SolveRequest(instance=inst.shifted(offset), power=CUBE, solver="oa")
+            result = solve(request)
+            assert result.ok, result.error_message
+            assert verify(request, result).ok
+            unshifted = oa_schedule_incremental(inst, CUBE).energy
+            assert result.energy == pytest.approx(unshifted, rel=rtol)
 
 
 class TestBKP:

@@ -172,9 +172,10 @@ def _shifted(trace: Trace, offset: float) -> Trace:
 @pytest.mark.parametrize("offset", sorted(OFFSET_RTOL))
 def test_replays_at_large_absolute_times_complete(offset):
     """A residual whose finish time rounds to the current time counts as
-    done, so AVR, BKP and the YDS bound complete far from t = 0.  Deadline
-    misses are not compared: the miss test's 1e-9 absolute slack is below
-    the float spacing from 1e6 on."""
+    done, and so does an OA job whose planned end precedes the next
+    release, so AVR, BKP, OA and the YDS bound complete far from t = 0.
+    Deadline misses are not compared: the miss test's 1e-9 absolute slack
+    is below the float spacing from 1e6 on."""
     rtol = OFFSET_RTOL[offset]
     for family in TRACE_FAMILIES:
         for seed in range(6):
@@ -182,7 +183,7 @@ def test_replays_at_large_absolute_times_complete(offset):
             moved = _shifted(trace, offset)
             for machine_name in ("pure", "athlon64"):
                 machine = machine_model(machine_name)
-                for algorithm in ("avr", "bkp"):
+                for algorithm in ("avr", "bkp", "oa"):
                     want = simulate(trace, machine, algorithm).report.energy
                     got = simulate(moved, machine, algorithm).report.energy
                     assert got == pytest.approx(want, rel=rtol)
