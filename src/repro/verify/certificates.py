@@ -257,7 +257,7 @@ def check_budget_tightness(ctx: VerificationContext) -> list[Finding]:
                     data={"achieved": achieved, "target": budget},
                 )
             )
-        elif achieved < budget * (1.0 - max(tol, 1e-3)) - 1e-9:
+        elif achieved < budget * (1.0 - tol) - 1e-9:
             findings.append(
                 Finding(
                     code="target-not-tight",

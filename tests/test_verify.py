@@ -129,6 +129,18 @@ class TestNegativePaths:
         bad = dataclasses.replace(result, value=result.value * (1.0 + 1e-4))
         assert "value-energy-inconsistent" in verify(request, bad).codes()
 
+    def test_server_answer_beating_its_target_rejected(self):
+        # every speed 0.05 % above the optimum: the makespan beats the target
+        # by 5e-4 relative and the energy exceeds the minimum for it
+        instance = Instance.from_arrays([0.0, 0.0, 0.0], [1.0, 2.0, 3.0])
+        request, result = _solved("server", instance=instance, budget=4.0)
+        speeds = result.speeds * 1.0005
+        schedule = Schedule.from_speeds(request.instance, request.power, speeds)
+        bad = dataclasses.replace(
+            result, speeds=speeds, energy=schedule.energy, value=schedule.energy
+        )
+        assert "target-not-tight" in verify(request, bad).codes()
+
     def test_budget_overrun_rejected(self, laptop_pair):
         request, result = laptop_pair
         # consistently faster schedule: accounting passes, tightness fails
