@@ -1,15 +1,16 @@
 #!/usr/bin/env python
 """CI smoke test for ``repro verify`` on the deadline family, both ways.
 
-For ``yds`` and ``avr`` it writes a ``deadline_instance`` solve request,
-solves it with ``repro solve --request REQ --json`` and verifies the answer
-with ``repro verify`` (exit 0: the array certificates pass it without a
-re-solve or an EDF rebuild).  Then it tampers with each answer and requires
-exit 1 with the expected finding code, which only the recompute path
-writes:
+For ``yds``, ``avr`` and ``oa`` it writes a ``deadline_instance`` solve
+request, solves it with ``repro solve --request REQ --json`` and verifies
+the answer with ``repro verify`` (exit 0: the array certificates pass it
+without a re-solve or an EDF rebuild).  The ``oa`` instance is shifted to
+start near t = 1e6, where a finished job's rounding residual once made OA
+answer ``infeasible``.  Then it tampers with each answer and requires exit 1
+with the expected finding code, which only the recompute path writes:
 
 * the yds energy scaled by 1.001 -> ``yds-energy-suboptimal``;
-* the avr speeds halved -> ``deadline-missed``.
+* the avr and oa speeds halved -> ``deadline-missed``.
 
 Run as ``python tools/verify_smoke.py`` (the repo's ``src/`` is put on the
 subprocesses' PYTHONPATH automatically); exits non-zero with a diagnostic on
@@ -30,10 +31,11 @@ _SRC = str(REPO_ROOT / "src")
 if _SRC not in sys.path:  # runnable straight from a checkout
     sys.path.insert(0, _SRC)
 
-#: (solver, instance seed, tamper, expected finding code)
+#: (solver, instance seed, time shift, tamper, expected finding code)
 CASES = (
-    ("yds", 3, "energy", "yds-energy-suboptimal"),
-    ("avr", 3, "speeds", "deadline-missed"),
+    ("yds", 3, 0.0, "energy", "yds-energy-suboptimal"),
+    ("avr", 3, 0.0, "speeds", "deadline-missed"),
+    ("oa", 0, 1e6, "speeds", "deadline-missed"),
 )
 
 
@@ -45,14 +47,18 @@ def _repro(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def _request(solver: str, seed: int) -> dict:
+def _request(solver: str, seed: int, shift: float) -> dict:
     from repro.api import SolveRequest
     from repro.core import CUBE
     from repro.io import request_to_dict
     from repro.workloads import deadline_instance
 
     return request_to_dict(
-        SolveRequest(instance=deadline_instance(12, seed=seed), power=CUBE, solver=solver)
+        SolveRequest(
+            instance=deadline_instance(12, seed=seed).shifted(shift),
+            power=CUBE,
+            solver=solver,
+        )
     )
 
 
@@ -64,9 +70,9 @@ def _tampered(result: dict, tamper: str) -> dict:
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        for solver, seed, tamper, code in CASES:
+        for solver, seed, shift, tamper, code in CASES:
             request = Path(tmp, f"{solver}_request.json")
-            request.write_text(json.dumps(_request(solver, seed)), encoding="utf-8")
+            request.write_text(json.dumps(_request(solver, seed, shift)), encoding="utf-8")
             solved = _repro("solve", "--request", str(request), "--json")
             if solved.returncode != 0:
                 print(f"verify smoke FAILED: {solver} solve exited "
