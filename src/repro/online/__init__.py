@@ -10,7 +10,10 @@ This subpackage provides:
   columnar schedules) that realises its answers,
 * :mod:`~repro.online.avr` -- Average Rate (vectorised event-grid profile),
 * :mod:`~repro.online.oa` -- Optimal Available, as the incremental
-  prefix-density engine :func:`~repro.online.oa.oa_schedule_incremental`,
+  prefix-density engine :func:`~repro.online.oa.oa_schedule_incremental`
+  (one event loop on Python floats and deadline-sorted lists: one hull
+  pass per release, and a job the next release does not cut is done by
+  plan),
 * :mod:`~repro.online.bkp` -- the Bansal-Kimbrel-Pruhs algorithm
   (all intervals' slice grids in one blocked pass on the cumulative work
   grid, returned as an ``(S, 3)`` array),

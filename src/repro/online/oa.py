@@ -12,14 +12,20 @@ instance OA plans over is a *common-release* instance (all residual jobs are
 available "now"), for which the YDS plan is just the prefix-density
 staircase (:func:`repro.core.kernels.common_release_prefix_speed_list`).
 The residual jobs are kept deadline-sorted *incrementally* across releases —
-new arrivals are merged in by binary insertion, finished jobs leave — so each
-event costs one O(m) hull pass plus a walk over the jobs that run before the
-next release, instead of a full YDS solve.  The event loop runs on Python
-floats and lists: its residual sets hold a few dozen jobs, where each NumPy
-call's fixed cost exceeds its arithmetic.  Every float operation is the one
-the array formulation performs, in the same order (the run times are summed
-sequentially, as a 1-D ``np.cumsum`` adds), so schedules are bit for bit
-those of ``oracles.oa.oa_schedule_incremental_pieces``.
+new arrivals are merged in by binary insertion (before residual jobs with an
+equal deadline, tied arrivals in release order), finished jobs leave — so
+each event costs one O(m) hull pass plus a walk over the jobs that run
+before the next release, instead of a full YDS solve.  The event loop runs
+on Python floats and lists: its residual sets hold a few dozen jobs, where
+each NumPy call's fixed cost exceeds its arithmetic.  Every float operation
+is the one the array formulation performs, in the same order (the run times
+are summed sequentially, as a 1-D ``np.cumsum`` adds).  A job whose planned
+end the next release does not cut is done by plan, where the array
+formulation subtracted its executed work; at ordinary times that subtraction
+leaves at most rounding size, which the 1e-12 drop test discards, so
+schedules are bit for bit those of
+``oracles.oa.oa_schedule_incremental_pieces``.  Far from t = 0 the residual
+is larger, and only the done-by-plan rule lets OA finish.
 
 ``tests/test_online_equivalence.py`` pins it at 1e-9 relative energy to the
 policy simulated literally (a full YDS plan per arrival, realised by EDF:
@@ -92,10 +98,14 @@ def oa_schedule_incremental(instance: Instance, power: PowerFunction) -> Schedul
         first_new = next_new
         while next_new < n and releases[next_new] <= now + 1e-12:
             next_new += 1
+        # arrivals in deadline order, ties in release order; a job of at most
+        # 1e-12 work never enters the residual lists
         arrivals = sorted(
             (j for j in range(first_new, next_new) if works[j] > 1e-12),
             key=deadlines.__getitem__,
         )
+        # positions on the residual deadlines as they stood before the event;
+        # the i-th arrival lands i places later
         positions = [bisect_left(res_deadlines, deadlines[j]) for j in arrivals]
         for i, (position, job) in enumerate(zip(positions, arrivals)):
             res_jobs.insert(position + i, job)
@@ -135,7 +145,8 @@ def oa_schedule_incremental(instance: Instance, power: PowerFunction) -> Schedul
                 ends_col.append(piece_end)
                 speeds_col.append(speed)
             start = end
-        # only the executed jobs' work changed: drop the ones it exhausted
+        # drop the executed jobs left with at most 1e-12 work; no other job's
+        # work changed
         kept = [i for i in range(n_exec) if remaining[res_jobs[i]] > 1e-12]
         if len(kept) < n_exec:
             res_jobs[:n_exec] = [res_jobs[i] for i in kept]
