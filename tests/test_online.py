@@ -85,8 +85,8 @@ class TestOA:
 
     @pytest.mark.parametrize("offset, rtol", [(1e4, 1e-9), (1e6, 1e-6), (1.7e9, 1e-5)])
     def test_solves_and_verifies_at_large_absolute_times(self, offset, rtol):
-        # a finished job's rounding residual exceeded the 1e-12 drop test
-        # far from t = 0 and outlived the job's deadline
+        # far from t = 0 a finished job's executed work misses its work by
+        # more than 1e-12, so OA must count it done by plan
         for seed in range(10):
             inst = deadline_instance(16, seed=seed)
             request = SolveRequest(instance=inst.shifted(offset), power=CUBE, solver="oa")
