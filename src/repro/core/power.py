@@ -142,6 +142,22 @@ class PowerFunction(ABC):
         ) / (12.0 * step)
         return speed * slope - p(speed)
 
+    def elasticity(self, speed: float) -> float:
+        """``s * h'(s) / h(s)``: the elasticity of the marginal energy ``h``.
+
+        A job whose marginal energy is scaled by a factor ``c`` changes its
+        speed by the factor ``c ** (1 / elasticity)`` to first order; the exact
+        flow solvers read the slope of energy and flow in ``log h`` off it
+        (``alpha`` for ``P = s**alpha``).  The slope only steers a safeguarded
+        Newton step, so the default, a central difference of
+        :meth:`marginal_energy`, is accurate enough.
+        """
+        step = 1e-3 * speed
+        h = self.marginal_energy
+        at = h(speed)
+        slope = (h(speed + step) - h(speed - step)) / (2.0 * step)
+        return speed * slope / at if at != 0.0 else math.inf
+
     def speed_for_marginal_energy(self, marginal: float) -> float:
         """Inverse of :meth:`marginal_energy` on speeds above the critical speed.
 
@@ -226,6 +242,9 @@ class PolynomialPower(PowerFunction):
         if marginal <= 0.0:
             raise BudgetError(f"marginal energy must be > 0, got {marginal}")
         return (float(marginal) / (self.exponent - 1.0)) ** (1.0 / self.exponent)
+
+    def elasticity(self, speed: float) -> float:
+        return self.exponent
 
     @property
     def is_polynomial(self) -> bool:
@@ -340,6 +359,13 @@ class AffinePolynomialPower(PowerFunction):
         return (
             (float(marginal) + self.static) / (self.coefficient * (self.exponent - 1.0))
         ) ** (1.0 / self.exponent)
+
+    def elasticity(self, speed: float) -> float:
+        # h(s) = dynamic - static with dynamic = c (alpha - 1) s**alpha, whose
+        # elasticity is alpha
+        dynamic = self.coefficient * (self.exponent - 1.0) * float(speed) ** self.exponent
+        marginal = dynamic - self.static
+        return self.exponent * dynamic / marginal if marginal != 0.0 else math.inf
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

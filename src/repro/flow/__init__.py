@@ -1,8 +1,9 @@
 """Power-aware total flow on a uniprocessor (Sections 2 and 4 of the paper).
 
 * :mod:`~repro.flow.convex` -- the exact release-order solver: Theorem 1's
-  levels found by one isotonic sweep, and a root-find on the last job's
-  speed (the paper's arbitrarily-good algorithm, exact to rounding).
+  levels found by one isotonic sweep, and a Newton iteration on the last
+  job's marginal energy whose slope the levels give (the paper's
+  arbitrarily-good algorithm, exact to rounding).
 * :mod:`~repro.flow.structure` -- Theorem 1 machinery: boundary
   classification, optimality certificates and the closed-form speeds for
   tight-free configurations.

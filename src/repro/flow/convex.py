@@ -26,12 +26,24 @@ opens a run, which is pooled with its left neighbour while that neighbour's
 level is larger.  No level exceeds ``k``, so a run whose level would exceed it is
 capped at ``k``; it then runs straight into the chain's last run.
 
-Energy grows and flow falls with ``y``, so one bracketed root-find on
-``log y`` meets the energy budget (the laptop problem) or the flow target
-(the server problem).  Theorem 8 is why that root-find cannot become a
-formula: with a tight boundary, the speeds are roots of polynomials that are
-not solvable by radicals.  :mod:`repro.flow.puw` replaces the root-find's
-answer by the closed form whenever the configuration has no tight boundary.
+Energy grows and flow falls with ``y``, so one root-find on ``t = log y``
+meets the energy budget (the laptop problem) or the flow target (the server
+problem).  Theorem 8 is why that root-find cannot become a formula: with a
+tight boundary, the speeds are roots of polynomials that are not solvable by
+radicals.  :mod:`repro.flow.puw` replaces the root-find's answer by the
+closed form whenever the configuration has no tight boundary.
+
+The levels also give the root-find its slope.  With ``x_m = v_m - m``, so
+that ``h(sigma_m) = x_m * y``, and ``eps(s) = s h'(s) / h(s)`` the elasticity
+of ``h`` (``alpha`` for ``P = s**alpha``), a job of a run whose level is a
+fixed number (``b + 1`` or ``k``) has ``d log sigma_m / dt = 1 / eps_m``.  A
+tight run keeps ``sum w_m / sigma_m`` equal to its gap, so its level moves
+with ``v' = -sum u_m / sum (u_m / x_m)``, ``u_m = w_m / (sigma_m eps_m)``,
+and its jobs have ``d log sigma_m / dt = (1 + v' / x_m) / eps_m``.  Then
+``dE/dt = y * sum u_m (x_m + v')``, and since a run starts at its first
+job's release, ``dC_m/dt = -sum_{i=a..m} u_i (1 + v' / x_i)``.  So each sweep
+returns the slopes of energy and flow for O(n) more work, and the root-find
+is a Newton iteration kept inside a sign bracket (:func:`_newton_root`).
 
 For unequal-work jobs the solver returns the optimum *for the given order*
 (release order); the paper makes no optimality claim across orders in that
@@ -43,7 +55,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -131,26 +143,99 @@ def _brent(
     raise ConvergenceError(f"root-find did not converge in {_MAX_ITERATIONS} steps")
 
 
-def _increasing_root(g: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of the increasing function ``g``, bracketed outward from ``[lo, hi]``."""
-    g_lo, g_hi = g(lo), g(hi)
+def _newton_root(
+    g: Callable[[float], tuple[float, float]],
+    lo: float,
+    hi: float,
+    at_hi: tuple[float, float],
+    lazy_lo: bool,
+) -> float:
+    """Root of the increasing function ``g``, bracketed outward from ``[lo, hi]``.
+
+    ``g(t)`` returns its value and a Newton step from ``t``; ``at_hi`` is
+    ``g(hi)``.  The low end is evaluated once ``hi`` fails the stopping rule,
+    or with ``lazy_lo`` only once a step reaches it.  Each step starts at
+    the bracket end with the smaller residual.  A step that leaves the
+    bracket is replaced by a bisection, and one shorter than the tolerance
+    is lengthened to it, so that it crosses the root.  The search stops on
+    Brent's rule in :func:`_brent`: the residual or the bracket is
+    ``_RTOL`` relative (absolute below 1) small.
+    """
+    f_hi, s_hi = at_hi
+    f_lo = s_lo = None
     for _ in range(_MAX_ITERATIONS):
-        if g_lo <= 0.0 <= g_hi:
-            return _brent(g, lo, hi, g_lo, g_hi)
-        step = 2.0 * max(hi - lo, 1.0)
-        if g_hi < 0.0:
-            lo, g_lo = hi, g_hi
-            hi += step
-            g_hi = g(hi)
+        width = 2.0 * max(hi - lo, 1.0)
+        if f_hi < 0.0:  # the root lies above the bracket
+            lo, f_lo, s_lo = hi, f_hi, s_hi
+            hi += width
+            f_hi, s_hi = g(hi)
+            continue
+        if f_lo is not None and f_lo > 0.0:  # ... or below it
+            hi, f_hi, s_hi = lo, f_lo, s_lo
+            lo -= width
+            f_lo = s_lo = None
+            continue
+        if f_lo is None or f_hi <= -f_lo:
+            t, f, step = hi, f_hi, s_hi
         else:
-            hi, g_hi = lo, g_lo
-            lo -= step
-            g_lo = g(lo)
-    raise ConvergenceError(f"could not bracket the root in {_MAX_ITERATIONS} steps")
+            t, f, step = lo, f_lo, s_lo
+        delta = 0.5 * _RTOL * max(abs(t), 1.0)
+        if abs(f) <= 2.0 * delta or (f_lo is not None and hi - lo < 2.0 * delta):
+            return t
+        if f_lo is None and not lazy_lo:
+            f_lo, s_lo = g(lo)
+            continue
+        if abs(step) < delta:
+            step = math.copysign(delta, -f)
+        t += step
+        if not lo < t < hi:  # also a nan step
+            t = lo if f_lo is None else 0.5 * (lo + hi)
+        f, step = g(t)
+        if f < 0.0 or t == lo:
+            lo, f_lo, s_lo = t, f, step
+        else:
+            hi, f_hi, s_hi = t, f, step
+    raise ConvergenceError(f"root-find did not converge in {_MAX_ITERATIONS} steps")
+
+
+def _newton_step(value: float, target: float, slope: float, k: float) -> float:
+    """Step in ``t`` that moves ``value`` (``V``) onto ``target``.
+
+    ``slope`` is ``d log V / dt``.  The step is Newton's in ``z = exp(k t)``
+    rather than in ``t``: for ``P = s**alpha`` a job in a run of fixed level
+    has a speed proportional to ``y**(1 / alpha)``, and a tight run of one
+    job a fixed speed, so with ``k`` matched to ``V`` the value is affine in
+    ``z`` and one step reaches the root unless the configuration changes or
+    a tight run holds several jobs.  ``nan`` where the affine model has no
+    root.
+    """
+    try:
+        return math.log1p(k * (target - value) / (value * slope)) / k
+    except (ValueError, ZeroDivisionError):
+        return math.nan
+
+
+class _Sweep(NamedTuple):
+    """The optimum at one ``y``, with the slopes of energy and flow in ``log y``."""
+
+    speeds: np.ndarray
+    completions: np.ndarray
+    energy: float
+    #: ``dE / dt`` and ``dF / dt`` at ``t = log y`` (``F`` the total flow)
+    energy_slope: float
+    flow_slope: float
 
 
 class _Chains:
-    """Release-ordered chains of jobs (one per processor) under one power function."""
+    """Release-ordered chains of jobs (one per processor) under one power function.
+
+    :meth:`solve_at` is one sweep: every level at one ``y``, the schedule
+    they give, and the slopes of its energy and flow in ``log y``.
+    :meth:`laptop` and :meth:`server` run :func:`_newton_root` over sweeps.
+    The laptop search starts at the ``y_hi`` of the uniform speed that
+    spends the budget, which is the root, found in one sweep, when no job
+    waits for another.
+    """
 
     def __init__(
         self, instance: Instance, power: PowerFunction, chains: Sequence[Sequence[int]]
@@ -186,10 +271,10 @@ class _Chains:
         """``h(s) / y`` for the speed ``s`` that runs ``work`` in exactly ``gap``."""
         return self._marginal(work / gap) / y if gap > 0.0 else math.inf
 
-    def _chain_levels(
+    def _chain_runs(
         self, c: int, y: float, speed_at: Callable[[float], float]
-    ) -> list[float]:
-        """``v_m - m`` for every job of chain ``c`` (the pool-adjacent-violators pass)."""
+    ) -> tuple[list[int], list[float]]:
+        """First jobs and levels of chain ``c``'s runs (the pool-adjacent-violators pass)."""
         k = len(self.works[c])
         top = float(k)
         starts: list[int] = []
@@ -204,11 +289,7 @@ class _Chains:
                     v = self._run_level(c, a, m, v, left, y, speed_at)
             starts.append(a)
             values.append(v)
-        levels = [0.0] * k
-        for a, b, v in zip(starts, starts[1:] + [k], values):
-            for m in range(a, b):
-                levels[m] = v - m
-        return levels
+        return starts, values
 
     def _run_level(
         self, c: int, a: int, b: int, right: float, left: float, y: float,
@@ -245,36 +326,76 @@ class _Chains:
             return hi
         return _brent(speed_gap, lo, hi, f_lo, f_hi)
 
-    def solve_at(self, y: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """Speeds, completion times (instance order) and energy of the optimum at ``y``."""
+    def solve_at(self, y: float) -> _Sweep:
+        """Speeds, completion times (instance order), energy and their slopes at ``y``.
+
+        Adjacent runs of equal level (a run capped at ``k`` runs late into the
+        next) form one group: its jobs run back to back from its first
+        release, and a tight first run sets the whole group's level.  The
+        completion-time slope restarts at each group.
+        """
         self.sweeps += 1
         speed_at = self._speed_map(y)
         energy_per_work = self.power.energy_per_work
+        elasticity = self.power.elasticity
         speeds = np.empty(self.instance.n_jobs)
         completions = np.empty(self.instance.n_jobs)
-        energy = 0.0
+        energy = energy_slope = flow_slope = 0.0
         for c, jobs in enumerate(self.jobs):
+            releases, works = self.releases[c], self.works[c]
+            starts, values = self._chain_runs(c, y, speed_at)
+            k = len(jobs)
+            ends = starts[1:] + [k]
             clock = -math.inf
-            levels = self._chain_levels(c, y, speed_at)
-            for j, r, w, x in zip(jobs, self.releases[c], self.works[c], levels):
-                s = speed_at(x)
-                clock = max(clock, r) + w / s
-                speeds[j], completions[j] = s, clock
-                energy += w * energy_per_work(s)
-        return speeds, completions, energy
+            i = 0
+            while i < len(starts):
+                a, v = starts[i], values[i]
+                # a group's level is fixed unless its first run ends tight
+                tight_end = ends[i] - 1 if v != k and v != ends[i] else -1
+                while i + 1 < len(starts) and values[i + 1] == v:
+                    i += 1
+                # the group adds y * sum u (x + v') to dE/dt and the sum of its
+                # dC_m/dt = -sum_{i<=m} u_i (1 + v' / x_i) to dF/dt, where v'
+                # (level_slope) is 0 for a fixed level; u_sum and ux_sum are
+                # the running sums of u and u / x, prefix and prefix_x theirs
+                u_sum = ux_sum = prefix = prefix_x = energy_sum = level_slope = 0.0
+                for m in range(a, ends[i]):
+                    x = v - m
+                    s = speed_at(x)
+                    w = works[m]
+                    duration = w / s
+                    clock = max(clock, releases[m]) + duration
+                    j = jobs[m]
+                    speeds[j], completions[j] = s, clock
+                    energy += w * energy_per_work(s)
+                    u = duration / elasticity(s)
+                    u_sum += u
+                    ux_sum += u / x
+                    prefix += u_sum
+                    prefix_x += ux_sum
+                    energy_sum += u * x
+                    if m == tight_end:
+                        level_slope = -u_sum / ux_sum
+                energy_slope += energy_sum + level_slope * u_sum
+                flow_slope -= prefix + level_slope * prefix_x
+                i += 1
+        return _Sweep(speeds, completions, energy, y * energy_slope, flow_slope)
 
-    def result(self, solution: tuple[np.ndarray, np.ndarray, float]) -> ConvexFlowResult:
-        speeds, completions, energy = solution
-        durations = self.instance.works / speeds
+    def result(self, sweep: _Sweep) -> ConvexFlowResult:
+        durations = self.instance.works / sweep.speeds
         return ConvexFlowResult(
-            flow=self.flow(completions),
-            energy=energy,
+            flow=self.flow(sweep.completions),
+            energy=sweep.energy,
             durations=durations,
-            speeds=speeds,
-            start_times=completions - durations,
-            completion_times=completions,
+            speeds=sweep.speeds,
+            start_times=sweep.completions - durations,
+            completion_times=sweep.completions,
             iterations=self.sweeps,
         )
+
+    def last_elasticity(self, sweep: _Sweep) -> float:
+        """Elasticity of ``h`` at the last job's speed (``alpha`` for ``P = s**alpha``)."""
+        return self.power.elasticity(float(sweep.speeds[self.jobs[0][-1]]))
 
     def flow(self, completions: np.ndarray) -> float:
         return float(np.sum(completions - self.instance.releases))
@@ -293,13 +414,21 @@ class _Chains:
                 "function's critical-speed minimum, or too large or small for "
                 "its marginal energy to be a float"
             )
-        found: dict[float, tuple] = {}
+        found: dict[float, _Sweep] = {}
 
-        def excess(t: float) -> float:
-            found[t] = self.solve_at(math.exp(t))
-            return math.log(found[t][2] / energy_budget)
+        def excess(t: float) -> tuple[float, float]:
+            found[t] = sweep = self.solve_at(math.exp(t))
+            energy = sweep.energy
+            # Newton in y**(1 - 1/alpha), in which E is affine while no run is tight
+            k = 1.0 - 1.0 / self.last_elasticity(sweep)
+            step = _newton_step(energy, energy_budget, sweep.energy_slope / energy, k)
+            return math.log(energy / energy_budget), step
 
-        t = _increasing_root(excess, math.log(y_hi / self.longest), math.log(y_hi))
+        # where no job waits for another, every job runs at the uniform speed
+        # and y_hi is the root: one sweep.  Else the curve bends between y_hi
+        # and the root, and the low end is often nearer.
+        t_hi = math.log(y_hi)
+        t = _newton_root(excess, math.log(y_hi / self.longest), t_hi, excess(t_hi), False)
         return self.result(found[t])
 
     def server(self, flow_target: float) -> ConvexFlowResult:
@@ -312,23 +441,26 @@ class _Chains:
                 f"flow target {flow_target:g} is at or below the infinite-speed "
                 "lower bound 0"
             )
-        found: dict[float, tuple] = {}
+        found: dict[float, _Sweep] = {}
 
-        def shortfall(t: float) -> float:
+        def shortfall(t: float) -> tuple[float, float]:
             if t < -700.0:  # y underflows: even the slowest schedule meets it
                 raise BudgetError(f"flow target {flow_target:g} never binds")
-            found[t] = speeds, completions, energy = self.solve_at(math.exp(t))
-            flow = self.flow(completions)
-            if flow > flow_target and energy > _MAX_ENERGY:
+            found[t] = sweep = self.solve_at(math.exp(t))
+            flow = self.flow(sweep.completions)
+            if flow > flow_target and sweep.energy > _MAX_ENERGY:
                 raise InfeasibleError(
                     f"flow target {flow_target:g} needs more than {_MAX_ENERGY:g} energy"
                 )
-            return math.log(flow_target / flow)
+            # Newton in y**(-1/alpha), in which F is affine while no run is tight
+            k = -1.0 / self.last_elasticity(sweep)
+            step = _newton_step(flow, flow_target, sweep.flow_slope / flow, k)
+            return math.log(flow_target / flow), step
 
         # first guess: every job at the one speed that meets the target unqueued
         y_guess = self._marginal(self.instance.total_work / flow_target)
         t = math.log(y_guess) if 0.0 < y_guess < math.inf else 0.0
-        t = _increasing_root(shortfall, t - 1.0, t + 1.0)
+        t = _newton_root(shortfall, t - 1.0, t + 1.0, shortfall(t + 1.0), True)
         return self.result(found[t])
 
 

@@ -5,7 +5,8 @@ paper uses it:
 
 * :func:`equal_work_flow_laptop` -- minimise total flow for an energy budget.
   The isotonic sweep of :mod:`repro.flow.convex` finds the optimum to
-  rounding, through a root-find on the last job's speed; when the optimal
+  rounding, through a Newton iteration on the last job's marginal energy
+  whose slope the sweep's levels give; when the optimal
   configuration contains no ``C_i = r_{i+1}`` boundary (Theorem 1's third
   relation does not occur), the solution is *refined to closed form*:
   Theorem 1 pins every speed to a multiple of the final job's speed, and the

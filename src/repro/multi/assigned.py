@@ -182,8 +182,9 @@ def flow_for_assignment(
     Each processor runs its jobs in release order.  At the optimum every
     processor's last job runs at the same speed (Section 5), so the isotonic
     sweep of :mod:`repro.flow.convex` solves all processors at once: it fixes
-    that common speed, finds every other speed from Theorem 1, and
-    root-finds the common speed that spends the budget.  This is the
+    that common speed, finds every other speed from Theorem 1, and a
+    safeguarded Newton iteration on the common speed's marginal energy, with
+    the slope read off every processor's levels, meets the budget.  This is the
     arbitrarily-good algorithm of Section 5 for any fixed assignment, exact
     to rounding.
     """

@@ -11,7 +11,10 @@ unchanged, as the independent references ``tests/test_flow_oracle.py`` and
 * :func:`convex_flow_server` -- minimise energy for a flow target, by Brent's
   method over full re-solves of :func:`convex_flow_laptop`;
 * :func:`flow_for_assignment` -- the multiprocessor program for a fixed
-  job-to-processor assignment, with one shared energy constraint.
+  job-to-processor assignment, with one shared energy constraint;
+* :func:`brent_release_order_flow` -- the library's own sweep under the
+  outer root-find it had before its Newton iteration: Brent's method on
+  ``log y``, bracketed outward, stopped by the same four-ulp rule.
 
 Import them as ``from oracles.flow import ...`` (``tests/`` is on
 ``sys.path`` under pytest; the benchmark adds it itself).
@@ -29,11 +32,13 @@ from repro.core.job import Instance
 from repro.core.power import PowerFunction
 from repro.core.schedule import Schedule
 from repro.exceptions import BudgetError, ConvergenceError, InfeasibleError
+from repro.flow import convex
 from repro.multi.assigned import AssignedFlowResult
 from repro.multi.cyclic import assignment_to_subinstances
 
 __all__ = [
     "ConvexFlowResult",
+    "brent_release_order_flow",
     "convex_flow_laptop",
     "convex_flow_server",
     "flow_for_assignment",
@@ -371,3 +376,69 @@ def flow_for_assignment(
         speeds=speeds,
         completion_times=completions,
     )
+
+
+def _increasing_root(g, lo: float, hi: float) -> float:
+    """Root of the increasing function ``g``, bracketed outward from ``[lo, hi]``."""
+    g_lo, g_hi = g(lo), g(hi)
+    for _ in range(convex._MAX_ITERATIONS):
+        if g_lo <= 0.0 <= g_hi:
+            return convex._brent(g, lo, hi, g_lo, g_hi)
+        step = 2.0 * max(hi - lo, 1.0)
+        if g_hi < 0.0:
+            lo, g_lo = hi, g_hi
+            hi += step
+            g_hi = g(hi)
+        else:
+            hi, g_hi = lo, g_lo
+            lo -= step
+            g_lo = g(lo)
+    raise ConvergenceError(f"could not bracket the root in {convex._MAX_ITERATIONS} steps")
+
+
+def brent_release_order_flow(
+    instance: Instance,
+    power: PowerFunction,
+    chains,
+    energy_budget: float | None = None,
+    flow_target: float | None = None,
+) -> convex.ConvexFlowResult:
+    """:func:`repro.flow.convex.release_order_flow` with Brent's method as
+    the outer root-find: the same sweep and bracket starts, no slope."""
+    problem = convex._Chains(instance, power, chains)
+    found: dict = {}
+    if energy_budget is not None:
+        energy_budget = float(energy_budget)
+        if energy_budget <= 0.0 or not math.isfinite(energy_budget):
+            raise BudgetError(f"energy budget must be finite and > 0, got {energy_budget}")
+        uniform = power.speed_for_energy(instance.total_work, energy_budget)
+        y_hi = problem._marginal(uniform)
+        if not 0.0 < y_hi < math.inf:
+            raise BudgetError(f"energy budget {energy_budget:g} is out of range")
+
+        def excess(t: float) -> float:
+            found[t] = problem.solve_at(math.exp(t))
+            return math.log(found[t].energy / energy_budget)
+
+        t = _increasing_root(excess, math.log(y_hi / problem.longest), math.log(y_hi))
+        return problem.result(found[t])
+
+    flow_target = float(flow_target)
+    if not math.isfinite(flow_target):
+        raise BudgetError(f"flow target must be finite, got {flow_target}")
+    if flow_target <= 0.0:
+        raise InfeasibleError(f"flow target {flow_target:g} is at or below 0")
+
+    def shortfall(t: float) -> float:
+        if t < -700.0:
+            raise BudgetError(f"flow target {flow_target:g} never binds")
+        found[t] = sweep = problem.solve_at(math.exp(t))
+        flow = problem.flow(sweep.completions)
+        if flow > flow_target and sweep.energy > convex._MAX_ENERGY:
+            raise InfeasibleError(f"flow target {flow_target:g} needs too much energy")
+        return math.log(flow_target / flow)
+
+    y_guess = problem._marginal(instance.total_work / flow_target)
+    t = math.log(y_guess) if 0.0 < y_guess < math.inf else 0.0
+    t = _increasing_root(shortfall, t - 1.0, t + 1.0)
+    return problem.result(found[t])
