@@ -132,7 +132,8 @@ def edf_schedule_at_speeds(
     columns for :meth:`Schedule.from_columns`.  A residual that would finish
     within 1e-15 of the current time (below the clock's resolution at large
     absolute times, or a rounding remnant run at a very high speed) counts
-    as done.
+    as done, and so does a residual of at most 1e-12 once its job has run: a
+    job whose whole work is that small still gets its piece.
     """
     _require_deadlines(instance)
     speeds = np.asarray(speeds, dtype=float)
@@ -145,6 +146,7 @@ def edf_schedule_at_speeds(
     releases = instance.releases.tolist()  # sorted: Instance orders jobs by release
     deadlines = instance.deadlines.tolist()
     remaining = instance.works.tolist()
+    ran = [False] * n
     speed_of = speeds.tolist()
     pending: list[tuple[float, int]] = []  # (deadline, index) heap of released jobs
     next_job = 0  # jobs[next_job:] not yet pushed (release order)
@@ -156,7 +158,7 @@ def edf_schedule_at_speeds(
         while next_job < n and releases[next_job] <= t + 1e-12:
             heapq.heappush(pending, (deadlines[next_job], next_job))
             next_job += 1
-        while pending and remaining[pending[0][1]] <= 1e-12:
+        while pending and ran[pending[0][1]] and remaining[pending[0][1]] <= 1e-12:
             heapq.heappop(pending)
         if not pending:
             if next_job >= n:
@@ -168,7 +170,7 @@ def edf_schedule_at_speeds(
         finish = t + remaining[job] / speed
         if finish <= t + 1e-15:
             # done: otherwise t creeps by ulps while the work never shrinks
-            remaining[job] = 0.0
+            heapq.heappop(pending)
             continue
         # the piece is not empty: finish > t + 1e-15, and the next release
         # is after t + 1e-12 (every earlier one was pushed above)
@@ -182,6 +184,7 @@ def edf_schedule_at_speeds(
             starts_col.append(t)
             ends_col.append(end)
         remaining[job] -= speed * (end - t)
+        ran[job] = True
         t = end
     else:  # pragma: no cover - defensive
         raise InfeasibleError("EDF simulation did not terminate")

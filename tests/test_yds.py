@@ -95,6 +95,18 @@ class TestYDSSchedule:
             rel=1e-9,
         )
 
+    def test_tiny_work_gets_its_piece(self):
+        # a job of work <= 1e-12 starts at that residual; the executor must
+        # run it before counting it as done, or its speed reads nan
+        from repro.api import SolveRequest, solve, verify
+
+        inst = Instance.from_arrays([0.0, 5.0], [1.0, 1e-13], deadlines=[1.0, 6.0])
+        request = SolveRequest(instance=inst, power=CUBE, solver="yds")
+        result = solve(request)
+        assert result.ok, result.error_message
+        assert result.speeds.tolist() == [1.0, 1e-13]
+        assert verify(request, result).ok
+
     def test_intensity_is_max_over_intervals(self):
         inst = Instance.from_arrays([0.0, 4.0], [8.0, 4.0], deadlines=[10.0, 6.0])
         result = yds_speeds(inst)
