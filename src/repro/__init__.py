@@ -91,7 +91,7 @@ _EXPORTS = {
     "PolynomialPower": "core",
     "PowerFunction": "core",
     "Schedule": "core",
-    "TradeoffCurve": "core",
+    "TradeoffCurve": "makespan",
 }
 
 

@@ -1,9 +1,9 @@
-"""Core model: jobs, power functions, schedules, blocks, metrics, trade-off curves.
+"""Core model: jobs, power functions, schedules, blocks, metrics.
 
 Everything in this subpackage is algorithm-agnostic: it defines the problem
-(Section 1 of the paper), the schedule objects the algorithms produce, the
-block machinery of Section 3, and the Pareto-curve representation used for
-the non-dominated frontier of Section 3.2.
+(Section 1 of the paper), the schedule objects the algorithms produce and
+the block machinery of Section 3.  The non-dominated frontier of Section 3.2
+is :class:`repro.makespan.TradeoffCurve`.
 """
 
 from . import kernels
@@ -18,7 +18,6 @@ from .metrics import (
     Metric,
     evaluate,
 )
-from .pareto import CurveSegment, TradeoffCurve
 from .power import (
     CUBE,
     SQUARE,
@@ -63,8 +62,6 @@ __all__ = [
     "TOTAL_WEIGHTED_FLOW",
     "MAX_FLOW",
     "evaluate",
-    "CurveSegment",
-    "TradeoffCurve",
     "PowerFunction",
     "PolynomialPower",
     "AffinePolynomialPower",

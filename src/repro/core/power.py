@@ -183,6 +183,13 @@ class PowerFunction(ABC):
 
     # -- introspection ---------------------------------------------------
     @property
+    def critical_speed(self) -> float:
+        """Speed minimising energy per unit of work: below it a job's energy
+        rises as it slows, so no optimal schedule runs slower.  0 when
+        ``P(0) = 0``."""
+        return 0.0
+
+    @property
     def is_polynomial(self) -> bool:
         """Whether this is exactly ``P(s) = s ** alpha`` (enables closed forms)."""
         return False

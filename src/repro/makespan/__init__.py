@@ -2,7 +2,9 @@
 
 * :func:`incmerge` -- the linear-time laptop-problem solver (Section 3.1).
 * :func:`makespan_frontier` -- every non-dominated schedule (Section 3.2,
-  Figures 1-3), returned as a :class:`~repro.core.pareto.TradeoffCurve`.
+  Figures 1-3), returned as a :class:`TradeoffCurve`: one
+  :class:`FrontierSegment` record per block configuration, with the makespan,
+  its slope and its curvature in closed form.
 * :func:`minimum_energy_for_makespan` -- the server problem, by reversing
   time: one upper-hull pass over the jobs' windows to the target
   (:func:`speeds_for_windows`).
@@ -14,7 +16,12 @@
 """
 
 from .baselines import quadratic_laptop, server_energy_via_yds, uniform_speed_schedule
-from .frontier import FrontierSegmentInfo, makespan_frontier, schedule_for_energy
+from .frontier import (
+    FrontierSegment,
+    TradeoffCurve,
+    makespan_frontier,
+    schedule_for_energy,
+)
 from .incmerge import IncMergeResult, incmerge, incmerge_speeds
 from .oracle import OracleResult, brute_force_laptop, dp_laptop
 from .server import (
@@ -28,7 +35,8 @@ __all__ = [
     "IncMergeResult",
     "incmerge",
     "incmerge_speeds",
-    "FrontierSegmentInfo",
+    "FrontierSegment",
+    "TradeoffCurve",
     "makespan_frontier",
     "schedule_for_energy",
     "minimum_energy_for_makespan",

@@ -14,32 +14,41 @@ infinite energy budget and lowering it:
   configuration takes over.  Cascading the merges down to a single block
   yields the whole curve of non-dominated schedules.
 
-For ``power = speed**alpha`` every segment of the curve is
+A configuration is plain data (:class:`FrontierSegment`): its final block
+starts at ``t0`` with ``W`` units of work, and the blocks before it use
+``E_fixed``.  At a budget ``E`` the final block runs at the speed ``s`` with
+``W * P(s) / s = E - E_fixed``.  With the marginal energy
+``h(s) = s * P'(s) - P(s)`` and its elasticity ``eps(s) = s * h'(s) / h(s)``
+(:meth:`~repro.core.power.PowerFunction.marginal_energy`,
+:meth:`~repro.core.power.PowerFunction.elasticity`) every segment of the
+curve is, for every convex power function,
 
-``makespan(E) = t0 + W**(alpha/(alpha-1)) * (E - E_fixed)**(-1/(alpha-1))``
+``makespan(E) = t0 + W / s``, ``makespan'(E) = -1 / h(s)`` and
+``makespan''(E) = eps(s) * s / (W * h(s)**2)``
 
-with analytic first and second derivatives (Figures 2 and 3); for general
-convex power functions the segment value is computed through the power
-function's inverse and derivatives fall back to finite differences.
+(Figures 1, 2 and 3): ``dE/ds = W * h(s) / s**2`` and ``dmakespan/ds =
+-W / s**2``.  For ``P = s**alpha``, ``h = (alpha - 1) * s**alpha`` and
+``eps = alpha``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from ..core.blocks import Block, coincident_release_threshold
 from ..core.job import Instance
-from ..core.pareto import CurveSegment, TradeoffCurve
 from ..core.power import PowerFunction
 from ..core.schedule import Schedule
 from ..exceptions import BudgetError
 from .incmerge import IncMergeResult, incmerge
 
 __all__ = [
-    "FrontierSegmentInfo",
+    "FrontierSegment",
+    "TradeoffCurve",
     "coarse_frontier",
     "coarse_frontier_samples",
     "interpolation_error_bound",
@@ -49,24 +58,110 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FrontierSegmentInfo:
-    """Payload attached to each :class:`~repro.core.pareto.CurveSegment`.
+class FrontierSegment:
+    """One block configuration, optimal for budgets in ``[energy_lo, energy_hi]``.
 
-    Describes the block configuration active on the segment: the fixed blocks
-    (speeds independent of the budget), the final block's job range, its start
-    time, its total work and the energy consumed by the fixed blocks.
+    Its final block runs jobs ``first .. last`` from ``start_time`` with
+    ``work`` units of work in all; the blocks before it run at fixed speeds
+    and use ``fixed_energy``.
     """
 
-    fixed_blocks: tuple[Block, ...]
-    final_first: int
-    final_last: int
-    final_start_time: float
-    final_work: float
+    energy_lo: float
+    energy_hi: float
+    first: int
+    last: int
+    start_time: float
+    work: float
     fixed_energy: float
 
+
+class TradeoffCurve:
+    """The optimal makespan as a function of the energy budget ``E > 0``.
+
+    ``segments`` are the configurations in increasing energy; they tile
+    ``(0, inf)``, and ``breakpoints`` are the budgets where they meet.  The
+    curve is decreasing and convex by construction.
+    """
+
+    def __init__(self, segments: Iterable[FrontierSegment], power: PowerFunction) -> None:
+        self.segments: tuple[FrontierSegment, ...] = tuple(segments)
+        self.power = power
+        # sorted upper edges (the last is +inf), for an O(log n) lookup
+        self._energy_his = np.array([seg.energy_hi for seg in self.segments])
+
     @property
-    def n_blocks(self) -> int:
-        return len(self.fixed_blocks) + 1
+    def breakpoints(self) -> list[float]:
+        """Energy values at which the configuration changes (segment joins)."""
+        return [seg.energy_lo for seg in self.segments[1:]]
+
+    def segment_at(self, energy: float) -> FrontierSegment:
+        """The configuration optimal at a budget ``energy > 0`` (binary search).
+
+        A budget within 1e-12 above a breakpoint is read on the configuration
+        below it.
+        """
+        if not energy > 0.0:
+            raise BudgetError(f"energy budget must be > 0, got {energy:g}")
+        return self.segments[int(np.searchsorted(self._energy_his, energy - 1e-12))]
+
+    def _final_speed(self, energy: float) -> tuple[FrontierSegment, float]:
+        """The configuration at ``energy`` and the speed of its final block."""
+        energy = float(energy)
+        seg = self.segment_at(energy)
+        return seg, self.power.speed_for_energy(seg.work, energy - seg.fixed_energy)
+
+    def value(self, energy: float) -> float:
+        """Optimal makespan ``t0 + W / s`` with the given energy budget."""
+        seg, speed = self._final_speed(energy)
+        return float(seg.start_time + seg.work / speed)
+
+    def derivative(self, energy: float) -> float:
+        """Slope ``-1 / h(s)`` of the makespan in the energy budget."""
+        _, speed = self._final_speed(energy)
+        return -1.0 / self.power.marginal_energy(speed)
+
+    def second_derivative(self, energy: float) -> float:
+        """Curvature ``eps(s) * s / (W * h(s)**2)`` of the makespan in the budget."""
+        seg, speed = self._final_speed(energy)
+        marginal = self.power.marginal_energy(speed)
+        return self.power.elasticity(speed) * speed / (seg.work * marginal * marginal)
+
+    def sample(self, energies: Iterable[float]) -> np.ndarray:
+        """:meth:`value` at each of ``energies``."""
+        return np.array([self.value(e) for e in energies], dtype=float)
+
+    def sample_derivative(self, energies: Iterable[float]) -> np.ndarray:
+        """:meth:`derivative` at each of ``energies``."""
+        return np.array([self.derivative(e) for e in energies], dtype=float)
+
+    def sample_second_derivative(self, energies: Iterable[float]) -> np.ndarray:
+        """:meth:`second_derivative` at each of ``energies``."""
+        return np.array([self.second_derivative(e) for e in energies], dtype=float)
+
+    def energy_grid(self, n: int = 200, max_energy: float | None = None) -> np.ndarray:
+        """``n`` budgets from ``max_energy * 1e-6`` up to ``max_energy``.
+
+        ``max_energy`` defaults to three times the largest breakpoint (3 when
+        there is none).  The grid starts above 0, where the makespan diverges.
+        """
+        hi = 3.0 * max(self.breakpoints, default=1.0) if max_energy is None else float(max_energy)
+        if not hi > 0.0:
+            raise BudgetError("energy grid upper bound must be > 0")
+        return np.linspace(hi * 1e-6, hi, int(n))
+
+    def is_convex(self, n_probe: int = 64, tol: float = 1e-6) -> bool:
+        """Whether the sampled curve is convex in energy."""
+        values = self.sample(self.energy_grid(n_probe))
+        second_diff = np.diff(values, 2)
+        scale = max(1.0, float(np.max(np.abs(values))))
+        return bool(np.all(second_diff >= -tol * scale))
+
+    def dominates_point(self, energy: float, value: float) -> bool:
+        """Whether some schedule on the curve is at least as good in both criteria."""
+        return energy > 0.0 and self.value(energy) <= value + 1e-9
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"TradeoffCurve(n_segments={len(self.segments)}, breakpoints={self.breakpoints})"
 
 
 def _fixed_blocks_before_final(
@@ -117,42 +212,32 @@ def _make_block(first: int, last: int, start: float, work: float, speed: float) 
     return Block(first=first, last=last, start_time=start, work=work, speed=speed)
 
 
-def makespan_frontier(
-    instance: Instance,
-    power: PowerFunction,
-    min_energy: float = 0.0,
-) -> TradeoffCurve:
+def makespan_frontier(instance: Instance, power: PowerFunction) -> TradeoffCurve:
     """Compute the full energy/makespan trade-off curve of non-dominated schedules.
 
-    Parameters
-    ----------
-    instance, power:
-        The problem.
-    min_energy:
-        Lower end of the energy axis for the cheapest configuration (the
-        single-block one).  The makespan diverges as the energy goes to zero,
-        so the curve's value is only defined for strictly positive budgets;
-        ``min_energy`` merely records where the final segment is cut off
-        (default 0).
+    Returns a :class:`TradeoffCurve` whose ``breakpoints`` are the budgets at
+    which the optimal block configuration changes (``E = 8`` and ``E = 17``
+    for the paper's Figure 1 instance).
 
-    Returns
-    -------
-    TradeoffCurve
-        Segments ordered by energy; each segment's ``payload`` is a
-        :class:`FrontierSegmentInfo`.  ``curve.breakpoints`` gives the budgets
-        at which the optimal block configuration changes (``E = 8`` and
-        ``E = 17`` for the paper's Figure 1 instance).
+    Raises :class:`BudgetError` for a power function with a positive
+    critical speed (leakage): the cascade's block lemmas are proven for
+    ``P = s**alpha``, and where the curve's low end lies when no job may run
+    below the critical speed is not derived yet.
     """
+    critical = power.critical_speed
+    if critical > 0.0:
+        raise BudgetError(
+            f"the makespan frontier needs a power function without leakage; this one "
+            f"has critical speed {critical:g}, and the frontier's low end at the "
+            "critical speed is not derived yet (ROADMAP item 1, leaky power)"
+        )
     fixed = _fixed_blocks_before_final(instance, power)
-    releases = instance.releases
-    works = instance.works
     n = instance.n_jobs
 
     # final block initially = last job alone
-    final_first = n - 1
-    final_last = n - 1
-    final_start = float(releases[n - 1])
-    final_work = float(works[n - 1])
+    first = last = n - 1
+    start = float(instance.releases[n - 1])
+    work = float(instance.works[n - 1])
     # Per-stage fixed energies as exact prefix sums: the cascade needs the
     # fixed-block energy after every pop, and computing it by repeated
     # subtraction leaves a cancellation residual (~1e-12 of the largest block
@@ -166,111 +251,33 @@ def makespan_frontier(
     fixed_energy_prefix = [0.0]
     for e in block_energies:
         fixed_energy_prefix.append(fixed_energy_prefix[-1] + e)
-    fixed_energy = float(fixed_energy_prefix[len(fixed)])
 
-    segments: list[CurveSegment] = []
+    segments: list[FrontierSegment] = []
     energy_hi = math.inf
-
     while True:
-        info = FrontierSegmentInfo(
-            fixed_blocks=tuple(fixed),
-            final_first=final_first,
-            final_last=final_last,
-            final_start_time=final_start,
-            final_work=final_work,
-            fixed_energy=fixed_energy,
-        )
-        if fixed:
-            prev = fixed[-1]
-            if prev.speed >= 1e299:
-                # predecessor has "infinite" speed: the final block can never
-                # run that fast, so this configuration occupies no energy
-                # range; merge immediately without emitting a segment.
-                energy_lo = energy_hi
-            else:
-                energy_lo = fixed_energy + power.energy(final_work, prev.speed)
+        fixed_energy = float(fixed_energy_prefix[len(fixed)])
+        if not fixed:
+            energy_lo = 0.0
+        elif fixed[-1].speed >= 1e299:
+            # predecessor has "infinite" speed: the final block can never
+            # run that fast, so this configuration occupies no energy
+            # range; merge immediately without emitting a segment.
+            energy_lo = energy_hi
         else:
-            energy_lo = float(min_energy)
-
+            energy_lo = fixed_energy + power.energy(work, fixed[-1].speed)
         if energy_lo < energy_hi:
             segments.append(
-                _build_segment(power, info, energy_lo, energy_hi)
+                FrontierSegment(energy_lo, energy_hi, first, last, start, work, fixed_energy)
             )
             energy_hi = energy_lo
-
         if not fixed:
             break
-
         prev = fixed.pop()
-        fixed_energy = float(fixed_energy_prefix[len(fixed)])
-        final_first = prev.first
-        final_start = prev.start_time
-        final_work += prev.work
+        first, start = prev.first, prev.start_time
+        work += prev.work
 
     segments.reverse()
-    return TradeoffCurve(segments, metric_name="makespan")
-
-
-def _build_segment(
-    power: PowerFunction,
-    info: FrontierSegmentInfo,
-    energy_lo: float,
-    energy_hi: float,
-) -> CurveSegment:
-    """Build the curve segment for one configuration."""
-    t0 = info.final_start_time
-    work = info.final_work
-    fixed_energy = info.fixed_energy
-
-    def value(energy: float) -> float:
-        remaining = energy - fixed_energy
-        if remaining <= 0.0:
-            raise BudgetError(
-                f"energy {energy:g} is below the fixed-block energy {fixed_energy:g} "
-                "of this configuration"
-            )
-        speed = power.speed_for_energy(work, remaining)
-        return t0 + work / speed
-
-    derivative = None
-    second_derivative = None
-    value_array = None
-    if power.is_polynomial:
-        alpha = power.alpha
-        beta = 1.0 / (alpha - 1.0)
-        coeff = work ** (1.0 + beta)
-
-        def derivative(energy: float, _b=beta, _c=coeff, _f=fixed_energy) -> float:
-            return -_b * _c * (energy - _f) ** (-_b - 1.0)
-
-        def second_derivative(energy: float, _b=beta, _c=coeff, _f=fixed_energy) -> float:
-            return _b * (_b + 1.0) * _c * (energy - _f) ** (-_b - 2.0)
-
-        def value_array(
-            energies: np.ndarray, _b=beta, _w=work, _t0=t0, _f=fixed_energy
-        ) -> np.ndarray:
-            remaining = np.asarray(energies, dtype=float) - _f
-            if np.any(remaining <= 0.0):
-                bad = float(np.min(remaining) + _f)
-                raise BudgetError(
-                    f"energy {bad:g} is below the fixed-block energy {_f:g} "
-                    "of this configuration"
-                )
-            # same closed form as the scalar path: speed = (E_rem/W)^(1/(a-1))
-            return _t0 + _w / (remaining / _w) ** _b
-
-    label = f"final block jobs {info.final_first}..{info.final_last}"
-    return CurveSegment(
-        energy_lo=float(energy_lo),
-        energy_hi=float(energy_hi),
-        value=value,
-        derivative=derivative,
-        second_derivative=second_derivative,
-        label=label,
-        payload=info,
-        value_array=value_array,
-        array_safe=power.is_polynomial,
-    )
+    return TradeoffCurve(segments, power)
 
 
 def coarse_frontier_samples(

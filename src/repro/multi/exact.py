@@ -97,7 +97,7 @@ def makespan_for_loads(
         return float(
             (sum(w**alpha for w in loads) / energy_budget) ** (1.0 / (alpha - 1.0))
         )
-    floor = _critical_speed(power)
+    floor = power.critical_speed
 
     def energy_at(T: float) -> float:
         return sum(power.energy(w, max(w / T, floor)) for w in loads)
@@ -121,11 +121,6 @@ def makespan_for_loads(
     while energy_at(lo) < energy_budget and lo > 1e-18:
         lo /= 2.0
     return brentq(lambda T: energy_at(T) - energy_budget, lo, hi, xtol=1e-14)
-
-
-def _critical_speed(power: PowerFunction) -> float:
-    """The speed below which ``power`` stops saving energy per unit of work (0 if none)."""
-    return float(getattr(power, "critical_speed", 0.0))
 
 
 def optimal_load_partition(
@@ -192,7 +187,7 @@ def exact_zero_release_makespan(
     # or at the critical speed when that is faster (finishing before T)
     speeds = np.empty(instance.n_jobs)
     per_proc_energy: dict[int, float] = {}
-    floor = _critical_speed(power)
+    floor = power.critical_speed
     for proc, jobs in mapping.items():
         load = float(sum(works[j] for j in jobs))
         speed = max(load / best_T, floor)

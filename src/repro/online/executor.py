@@ -70,7 +70,9 @@ def execute_profile_edf(
     nothing pending is skipped up to the next release.  Pieces are kept as
     columns and the result is built by :meth:`Schedule.from_columns`.  A
     residual whose finish time rounds to the current time (below the clock's
-    resolution at large absolute times) counts as done.
+    resolution at large absolute times) counts as done, and so does a
+    residual of at most 1e-12 once its job has run: a job whose whole work is
+    that small still gets its piece.
     """
     if not instance.has_deadlines():
         raise InvalidInstanceError("profile execution requires deadlines (EDF ordering)")
@@ -91,6 +93,7 @@ def execute_profile_edf(
     releases = instance.releases.tolist()  # sorted: Instance orders jobs by release
     deadlines = instance.deadlines.tolist()
     remaining = instance.works.astype(float).tolist()
+    ran = [False] * n
     starts_l, ends_l, speeds_l = starts.tolist(), ends.tolist(), speeds.tolist()
     # a release at or below a segment's start (end) + 1e-12 is pushed there
     starts_tol = starts + 1e-12
@@ -170,7 +173,7 @@ def execute_profile_edf(
         while next_job < n and releases[next_job] <= t + 1e-12:
             heapq.heappush(pending, (deadlines[next_job], next_job))
             next_job += 1
-        while pending and remaining[pending[0][1]] <= 1e-12:
+        while pending and ran[pending[0][1]] and remaining[pending[0][1]] <= 1e-12:
             heapq.heappop(pending)
         release = releases[next_job] if next_job < n else math.inf
         if not pending:
@@ -197,6 +200,7 @@ def execute_profile_edf(
                     starts_col.append(starts_l[stop])
                     ends_col.append(ends_l[stop])
                     speeds_col.append(speeds_l[stop])
+                    ran[job] = True
                 stop, left = stop + 1, after
             if stop - i == _LOOKAHEAD:
                 first = stop
@@ -206,6 +210,7 @@ def execute_profile_edf(
                 chunks.append((np.full(int(on.sum()), job, dtype=np.intp),
                                starts[first:stop][on], ends[first:stop][on],
                                speeds[first:stop][on]))
+                ran[job] = ran[job] or bool(on.any())
             if stop > i:
                 remaining[job] = left
                 i = stop
@@ -216,7 +221,7 @@ def execute_profile_edf(
             guard += 1
             if guard > 4 * n + 8:  # pragma: no cover - defensive
                 raise InfeasibleError("profile execution did not advance")
-            while pending and remaining[pending[0][1]] <= 1e-12:
+            while pending and ran[pending[0][1]] and remaining[pending[0][1]] <= 1e-12:
                 heapq.heappop(pending)
             if not pending:
                 if next_job >= n:
@@ -233,6 +238,7 @@ def execute_profile_edf(
             if finish == t:
                 # a residual below the clock's resolution at t: done
                 remaining[job] = 0.0
+                ran[job] = True
                 continue
             next_release = releases[next_job] if next_job < n else math.inf
             end = min(finish, next_release, seg_end)
@@ -242,6 +248,7 @@ def execute_profile_edf(
                 ends_col.append(end)
                 speeds_col.append(speed)
                 remaining[job] -= speed * (end - t)
+                ran[job] = True
             t = end
             while next_job < n and releases[next_job] <= t + 1e-12:
                 heapq.heappush(pending, (deadlines[next_job], next_job))

@@ -88,7 +88,7 @@ def oa_schedule_incremental(instance: Instance, power: PowerFunction) -> Schedul
     speeds_col: list[float] = []
 
     # residual jobs in deadline order: original indices and their deadlines.
-    # Every job in them has more than 1e-12 work left.
+    # Every job in them has more than 1e-12 work left or has not run yet.
     res_jobs: list[int] = []
     res_deadlines: list[float] = []
     next_new = 0  # jobs[next_new:] have not been released yet (release order)
@@ -98,12 +98,8 @@ def oa_schedule_incremental(instance: Instance, power: PowerFunction) -> Schedul
         first_new = next_new
         while next_new < n and releases[next_new] <= now + 1e-12:
             next_new += 1
-        # arrivals in deadline order, ties in release order; a job of at most
-        # 1e-12 work never enters the residual lists
-        arrivals = sorted(
-            (j for j in range(first_new, next_new) if works[j] > 1e-12),
-            key=deadlines.__getitem__,
-        )
+        # arrivals in deadline order, ties in release order
+        arrivals = sorted(range(first_new, next_new), key=deadlines.__getitem__)
         # positions on the residual deadlines as they stood before the event;
         # the i-th arrival lands i places later
         positions = [bisect_left(res_deadlines, deadlines[j]) for j in arrivals]
@@ -129,6 +125,10 @@ def oa_schedule_incremental(instance: Instance, power: PowerFunction) -> Schedul
             if start >= cutoff:
                 break
             n_exec += 1
+            if speed == 0.0:
+                # its work vanished in the hull's cumulative sums: it cannot
+                # run, and the final check reports it
+                continue
             planned += work / speed
             end = now + planned
             piece_end = min(end, next_event)

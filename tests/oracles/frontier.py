@@ -6,7 +6,8 @@ server problem was answered by building the whole non-dominated frontier
 the segments from cheap to expensive for the first one that reaches the
 target, then bracket and root-find the crossing inside it.  That inversion
 shares no code with the hull, so it stays here as an oracle
-(``tests/test_server.py``, ``tests/test_pareto.py``).
+(``tests/test_server.py``, ``tests/test_pareto.py``).  It reads each
+configuration's makespan ``t0 + W / s`` off the curve's records.
 
 Import it as ``from oracles.frontier import ...`` (``tests/`` is on
 ``sys.path`` under pytest).
@@ -15,42 +16,51 @@ Import it as ``from oracles.frontier import ...`` (``tests/`` is on
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from repro.core.job import Instance
-from repro.core.pareto import TradeoffCurve
 from repro.core.power import PowerFunction
 from repro.core.roots import brentq
 from repro.exceptions import BudgetError, InfeasibleError
-from repro.makespan.frontier import makespan_frontier
+from repro.makespan.frontier import FrontierSegment, TradeoffCurve, makespan_frontier
 
 __all__ = ["energy_for_value", "frontier_server_energy"]
 
 
-def energy_for_value(curve: TradeoffCurve, target: float) -> float:
-    """Minimum energy whose optimal value on ``curve`` is at most ``target``.
+def _makespan_on(curve: TradeoffCurve, seg: FrontierSegment, energy: float) -> float:
+    """Makespan of ``seg``'s configuration at ``energy`` (BudgetError at or
+    below its fixed-block energy)."""
+    return seg.start_time + seg.work / curve.power.speed_for_energy(
+        seg.work, energy - seg.fixed_energy
+    )
 
-    Raises :class:`InfeasibleError` when the target is below the best value
-    achievable anywhere on the curve.
+
+def energy_for_value(curve: TradeoffCurve, target: float) -> float:
+    """Minimum energy whose optimal makespan on ``curve`` is at most ``target``.
+
+    Raises :class:`InfeasibleError` when the target is below the best
+    makespan achievable anywhere on the curve.
     """
-    # value is non-increasing in energy: scan segments from cheap to
+    # the makespan is non-increasing in energy: scan segments from cheap to
     # expensive and find the first that can reach the target.
     for seg in curve.segments:
+        value = partial(_makespan_on, curve, seg)
         hi = seg.energy_hi
         if math.isfinite(hi):
-            v_hi = seg.value(hi)
+            v_hi = value(hi)
         else:
             # open-ended final segment: probe a large budget to test
             # achievability, then bracket adaptively below.
             hi = max(seg.energy_lo * 2.0, seg.energy_lo + 1.0)
-            v_hi = seg.value(hi)
+            v_hi = value(hi)
             while v_hi > target and hi < 1e30:
                 hi *= 2.0
-                v_hi = seg.value(hi)
+                v_hi = value(hi)
         if v_hi > target + 1e-12:
             continue
         lo = seg.energy_lo
         try:
-            v_lo = seg.value(lo)
+            v_lo = value(lo)
         except BudgetError:
             # The value may be undefined at the segment's lower endpoint
             # (e.g. the single-block makespan segment diverges as the
@@ -76,7 +86,7 @@ def energy_for_value(curve: TradeoffCurve, target: float) -> float:
             for _ in range(200):
                 probe = lo + nudge
                 try:
-                    v_probe = seg.value(probe)
+                    v_probe = value(probe)
                 except BudgetError:
                     nudge *= 2.0
                     continue
@@ -89,14 +99,10 @@ def energy_for_value(curve: TradeoffCurve, target: float) -> float:
                 nudge *= 1e-6
             else:
                 raise InfeasibleError(
-                    f"could not bracket the minimum energy for "
-                    f"{curve.metric_name} = {target:g}"
+                    f"could not bracket the minimum energy for makespan {target:g}"
                 )
-        return brentq(lambda e: seg.value(e) - target, lo, hi, xtol=1e-12, rtol=1e-12)
-    raise InfeasibleError(
-        f"target {curve.metric_name} = {target:g} is not achievable with any "
-        f"energy budget up to {curve.max_energy:g}"
-    )
+        return brentq(lambda e: value(e) - target, lo, hi, xtol=1e-12, rtol=1e-12)
+    raise InfeasibleError(f"makespan {target:g} is not achievable with any energy budget")
 
 
 def frontier_server_energy(

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from repro.core import CUBE, Instance, PolynomialPower, TabulatedConvexPower
+from _strategies import hypothesis_settings, plain_instance_from, releases_strategy, works_strategy
+from repro.api import SolveRequest, solve
+from repro.core import CUBE, AffinePolynomialPower, Instance, PolynomialPower, TabulatedConvexPower
+from repro.exceptions import BudgetError
 from repro.makespan import incmerge, makespan_frontier, schedule_for_energy
-from repro.workloads import FIGURE1_BREAKPOINTS, FIGURE1_ENERGY_RANGE
+from repro.workloads import FIGURE1_BREAKPOINTS, FIGURE1_ENERGY_RANGE, poisson_instance
 
 
 class TestFigure1Curve:
@@ -107,15 +112,22 @@ class TestGeneralInstances:
                 incmerge(inst, cube, energy).makespan, rel=1e-9
             )
 
-    def test_non_polynomial_power_uses_numeric_derivatives(self, fig1):
+    def test_non_polynomial_power_uses_closed_form_derivatives(self, fig1):
+        # the slope -1/h(s) and curvature eps(s)*s/(W*h(s)**2) hold for every
+        # power; for a tabulated s**3 they track CUBE's up to h's own
+        # difference quotients
         power = TabulatedConvexPower(lambda s: s**3, name="cubic-tabulated")
         curve = makespan_frontier(fig1, power)
         reference = makespan_frontier(fig1, CUBE)
-        for energy in [7.0, 12.0, 20.0]:
-            assert curve.value(energy) == pytest.approx(reference.value(energy), rel=1e-6)
-            assert curve.derivative(energy) == pytest.approx(
-                reference.derivative(energy), rel=1e-3
-            )
+        grid = np.linspace(6.0, 21.0, 200)
+        for sample, bound in (
+            ("sample", 1e-12),
+            ("sample_derivative", 1e-9),
+            ("sample_second_derivative", 1e-5),
+        ):
+            got = getattr(curve, sample)(grid)
+            want = getattr(reference, sample)(grid)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= bound, sample
 
     def test_alpha_2_breakpoints_still_at_configuration_changes(self, fig1):
         power = PolynomialPower(2.0)
@@ -129,3 +141,49 @@ class TestGeneralInstances:
         sched = schedule_for_energy(fig1, cube, 12.0)
         assert sched.makespan == pytest.approx(curve.value(12.0))
         sched.validate(energy_budget=12.0 * (1 + 1e-9))
+
+
+CLOSED_FORM_POWERS = {
+    "cube": (CUBE, 1e-6),
+    "alpha-2": (PolynomialPower(2.0), 1e-6),
+    "alpha-2.5": (PolynomialPower(2.5), 1e-6),
+    # its elasticity is itself a central difference of h
+    "tabulated-cube": (TabulatedConvexPower(lambda s: s**3, name="cubic-tabulated"), 1e-5),
+}
+
+
+@hypothesis_settings(max_examples=60)
+@given(
+    releases=releases_strategy,
+    works=works_strategy,
+    power_name=st.sampled_from(sorted(CLOSED_FORM_POWERS)),
+    exponent=st.floats(min_value=-3.0, max_value=1.5),
+)
+def test_closed_forms_match_central_differences(releases, works, power_name, exponent):
+    power, curvature_bound = CLOSED_FORM_POWERS[power_name]
+    curve = makespan_frontier(plain_instance_from(releases, works), power)
+    energy = max(curve.breakpoints, default=1.0) * 10.0**exponent
+    assume(all(abs(energy - b) >= 1e-4 * max(energy, b) for b in curve.breakpoints))
+    step = 5e-5 * energy  # the stencil stays inside the configuration
+    slope = (curve.value(energy + step) - curve.value(energy - step)) / (2.0 * step)
+    curvature = (
+        curve.derivative(energy + step) - curve.derivative(energy - step)
+    ) / (2.0 * step)
+    assert slope == pytest.approx(curve.derivative(energy), rel=1e-6)
+    assert curvature == pytest.approx(curve.second_derivative(energy), rel=curvature_bound)
+
+
+class TestLeakyPower:
+    def test_frontier_rejects_a_positive_critical_speed(self, fig1):
+        with pytest.raises(BudgetError, match="critical speed"):
+            makespan_frontier(fig1, AffinePolynomialPower(2.5, 1.5, 0.2))
+
+    @pytest.mark.parametrize("static, answer", [(0.2, "invalid-budget"), (0.0, "ok")])
+    def test_frontier_solver_answers(self, static, answer):
+        power = AffinePolynomialPower(2.5, 1.5, static)
+        for seed in range(20):
+            request = SolveRequest(
+                instance=poisson_instance(8, seed=seed), power=power, solver="frontier"
+            )
+            result = solve(request)
+            assert (result.error_code if not result.ok else "ok") == answer

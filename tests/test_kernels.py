@@ -9,8 +9,8 @@ instances:
   re-enumeration),
 * ``incmerge`` (bulk-precomputed block energies) vs ``quadratic_laptop``
   and ``brute_force_laptop`` (structurally independent solvers),
-* ``TradeoffCurve.sample*`` / ``segment_at`` (searchsorted + grouped array
-  evaluation) vs the per-point scalar entry points,
+* ``TradeoffCurve.segment_at`` (searchsorted) vs a linear scan of the
+  configurations, and ``sample*`` vs the per-point scalar entry points,
 * ``Schedule.from_speeds`` / aggregation (prefix-max timing recurrence,
   bincount energy) vs a direct piece-by-piece replay,
 * the low-level kernels themselves against their obvious NumPy/Python
@@ -228,7 +228,7 @@ def test_incmerge_matches_brute_force(releases, works, energy):
 
 
 # ----------------------------------------------------------------------
-# TradeoffCurve vectorized sampling vs scalar evaluation
+# TradeoffCurve sampling and lookup vs scalar evaluation
 # ----------------------------------------------------------------------
 
 
@@ -243,17 +243,11 @@ def test_curve_sampling_matches_scalar_path(releases, works, alpha):
     power = PolynomialPower(alpha)
     curve = makespan_frontier(inst, power)
     grid = curve.energy_grid(64)
-    sampled = curve.sample(grid)
-    scalar = np.array([curve.segment_at(float(e)).value(float(e)) for e in grid])
-    assert np.allclose(sampled, scalar, rtol=TOL)
-    d1 = curve.sample_derivative(grid)
-    scalar_d1 = np.array([curve.segment_at(float(e)).derivative_at(float(e)) for e in grid])
-    assert np.allclose(d1, scalar_d1, rtol=TOL)
-    d2 = curve.sample_second_derivative(grid)
-    scalar_d2 = np.array(
-        [curve.segment_at(float(e)).second_derivative_at(float(e)) for e in grid]
-    )
-    assert np.allclose(d2, scalar_d2, rtol=TOL)
+    assert curve.sample(grid).tolist() == [curve.value(e) for e in grid]
+    assert curve.sample_derivative(grid).tolist() == [curve.derivative(e) for e in grid]
+    assert curve.sample_second_derivative(grid).tolist() == [
+        curve.second_derivative(e) for e in grid
+    ]
 
 
 def test_segment_at_endpoint_noise_regression():
@@ -262,32 +256,14 @@ def test_segment_at_endpoint_noise_regression():
     Cascading ``fixed_energy`` by repeated subtraction left a ~6e-12
     cancellation residual once every fixed block was popped, so the cheapest
     configuration rejected budgets between 0 and the residual; the curve's
-    own ``energy_grid`` starts inside that band and construction raised
-    ``BudgetError`` from ``_check_monotone``.
+    own ``energy_grid`` starts inside that band.
     """
     inst = _plain_instance([0.0, 3.0, 2.984375], [0.109375, 3.0, 1.0])
     curve = makespan_frontier(inst, CUBE)
     # the empty fixed prefix must contribute exactly zero energy
-    assert curve.segments[0].payload.fixed_energy == 0.0
+    assert curve.segments[0].fixed_energy == 0.0
     for e in curve.energy_grid(32):
-        fast = curve.segment_at(float(e))
-        assert math.isfinite(fast.value(float(e)))
         assert math.isfinite(curve.value(float(e)))
-
-
-def test_segment_at_clamps_endpoint_noise():
-    """Energies within 1e-9 relative noise of either endpoint are clamped in."""
-    inst = _plain_instance([0.0, 5.0, 6.0], [5.0, 2.0, 1.0])
-    curve = makespan_frontier(inst, CUBE)
-    lo = curve.min_energy
-    below = lo - 1e-10 * max(1.0, lo)
-    assert curve.segment_at(below) is curve.segments[0]
-    sampled = curve.sample([below + 1.0])  # vectorised path shares the clamp
-    assert np.isfinite(sampled).all()
-    from repro.exceptions import BudgetError
-
-    with pytest.raises(BudgetError):
-        curve.segment_at(lo - 1.0)
 
 
 @common_settings

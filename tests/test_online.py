@@ -96,6 +96,14 @@ class TestOA:
             unshifted = oa_schedule_incremental(inst, CUBE).energy
             assert result.energy == pytest.approx(unshifted, rel=rtol)
 
+    @pytest.mark.parametrize("tiny", [5e-12, 1e-300])
+    def test_work_below_the_hull_sums_resolution_is_an_error_not_a_crash(self, tiny):
+        # the tiny work is lost in the hull's cumulative sums, which plan the
+        # job at speed 0; OA must answer instead of dividing by that speed
+        inst = Instance.from_arrays([0.0, 0.0], [1e5, tiny], deadlines=[1.0, 2.0])
+        result = solve(SolveRequest(instance=inst, power=CUBE, solver="oa"))
+        assert result.error_code == "invalid-instance"
+
 
 class TestBKP:
     def test_speed_lower_bounds_essential_intensity(self):

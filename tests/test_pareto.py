@@ -1,4 +1,4 @@
-"""Tests for the generic trade-off curve representation."""
+"""Tests for the trade-off curve's queries on real makespan frontiers."""
 
 from __future__ import annotations
 
@@ -8,118 +8,95 @@ import numpy as np
 import pytest
 from oracles.frontier import energy_for_value
 
-from repro.core import CurveSegment, TradeoffCurve
-from repro.exceptions import BudgetError, InfeasibleError, InvalidInstanceError
+from repro.core import CUBE, Instance
+from repro.exceptions import BudgetError, InfeasibleError
+from repro.makespan import TradeoffCurve, makespan_frontier
+from repro.workloads import figure1_instance
 
 
 def make_curve() -> TradeoffCurve:
-    """A simple two-segment curve: value = 10/E for E in [1, 5], 2 + 40/E**2 ... kept monotone."""
-    seg1 = CurveSegment(
-        energy_lo=1.0,
-        energy_hi=5.0,
-        value=lambda e: 10.0 / e,
-        derivative=lambda e: -10.0 / e**2,
-        second_derivative=lambda e: 20.0 / e**3,
-        label="cheap",
-    )
-    seg2 = CurveSegment(
-        energy_lo=5.0,
-        energy_hi=math.inf,
-        value=lambda e: 1.0 + 5.0 / e,
-        label="expensive",
-    )
-    return TradeoffCurve([seg1, seg2], metric_name="demo")
+    """The paper's Figure 1 frontier: three configurations, breakpoints 8 and 17."""
+    return makespan_frontier(figure1_instance(), CUBE)
 
 
 class TestCurveSegment:
-    def test_contains(self):
-        seg = CurveSegment(1.0, 2.0, value=lambda e: 1.0 / e)
-        assert seg.contains(1.5)
-        assert not seg.contains(3.0)
+    """The curve's records, one per block configuration."""
 
     def test_empty_range_rejected(self):
-        with pytest.raises(InvalidInstanceError):
-            CurveSegment(2.0, 2.0, value=lambda e: e)
-
-    def test_numeric_derivative_fallback(self):
-        seg = CurveSegment(1.0, 10.0, value=lambda e: 10.0 / e)
-        assert seg.derivative_at(2.0) == pytest.approx(-2.5, rel=1e-4)
-        assert seg.second_derivative_at(2.0) == pytest.approx(2.5, rel=1e-2)
-
-    def test_analytic_derivative_used(self):
-        seg = CurveSegment(
-            1.0, 10.0, value=lambda e: 10.0 / e, derivative=lambda e: -10.0 / e**2
-        )
-        assert seg.derivative_at(2.0) == pytest.approx(-2.5, rel=1e-12)
+        # tied releases give predecessors of infinite speed: the cascade
+        # merges them at once and emits no configuration of empty range
+        curve = makespan_frontier(Instance.from_arrays([0, 0, 2, 2], [1, 1, 2, 1]), CUBE)
+        assert len(curve.segments) == 2
+        assert all(seg.energy_lo < seg.energy_hi for seg in curve.segments)
 
 
 class TestTradeoffCurve:
     def test_basic_queries(self):
         curve = make_curve()
-        assert curve.min_energy == 1.0
-        assert math.isinf(curve.max_energy)
-        assert curve.breakpoints == [5.0]
-        assert curve.value(2.0) == pytest.approx(5.0)
-        assert curve.value(10.0) == pytest.approx(1.5)
+        assert curve.breakpoints == [8.0, 17.0]
+        # Figure 1's ends: the single block at E = 6, the last job alone at E = 21
+        assert curve.value(6.0) == pytest.approx(8.0 / math.sqrt(6.0 / 8.0), rel=1e-15)
+        assert curve.value(21.0) == pytest.approx(6.0 + 1.0 / math.sqrt(8.0), rel=1e-15)
+        first, middle, last = curve.segments
+        assert (first.first, first.last, first.fixed_energy) == (0, 2, 0.0)
+        assert (middle.first, middle.last, middle.start_time) == (1, 2, 5.0)
+        assert (last.first, last.last, last.start_time, last.work) == (2, 2, 6.0, 1.0)
+        assert last.fixed_energy == pytest.approx(13.0, rel=1e-15)
 
     def test_segments_must_tile(self):
-        seg1 = CurveSegment(1.0, 2.0, value=lambda e: 1.0 / e)
-        seg2 = CurveSegment(3.0, 4.0, value=lambda e: 0.1 / e)
-        with pytest.raises(InvalidInstanceError):
-            TradeoffCurve([seg1, seg2])
-
-    def test_non_monotone_rejected(self):
-        rising = CurveSegment(1.0, 2.0, value=lambda e: e)
-        with pytest.raises(InvalidInstanceError):
-            TradeoffCurve([rising])
+        for instance in (figure1_instance(), Instance.from_arrays([0, 0, 2, 2], [1, 1, 2, 1])):
+            segments = makespan_frontier(instance, CUBE).segments
+            assert segments[0].energy_lo == 0.0
+            assert math.isinf(segments[-1].energy_hi)
+            for below, above in zip(segments, segments[1:]):
+                assert below.energy_hi == above.energy_lo
 
     def test_out_of_range_budget(self):
         curve = make_curve()
+        for energy in (0.0, -1e-10, -1.0, math.nan):
+            for query in (curve.value, curve.derivative, curve.second_derivative):
+                with pytest.raises(BudgetError):
+                    query(energy)
         with pytest.raises(BudgetError):
-            curve.value(0.5)
+            curve.sample([1.0, 0.0])
 
     def test_sampling(self):
         curve = make_curve()
-        grid = np.array([1.5, 2.5, 6.0])
+        grid = np.array([1.5, 2.5, 8.0, 12.0, 17.0, 30.0])
         values = curve.sample(grid)
-        assert values.shape == (3,)
+        assert values.tolist() == [curve.value(e) for e in grid]
         assert np.all(np.diff(values) < 0)
-        d = curve.sample_derivative(np.array([2.0, 3.0]))
-        assert np.all(d < 0)
-        dd = curve.sample_second_derivative(np.array([2.0, 3.0]))
-        assert np.all(dd > 0)
+        assert np.all(curve.sample_derivative(grid) < 0)
+        assert np.all(curve.sample_second_derivative(grid) > 0)
 
     def test_energy_grid(self):
         curve = make_curve()
         grid = curve.energy_grid(10, max_energy=20.0)
         assert grid.shape == (10,)
-        assert grid[0] >= curve.min_energy
+        assert grid[0] == pytest.approx(20.0 * 1e-6)
         assert grid[-1] == pytest.approx(20.0)
+        assert curve.energy_grid(4)[-1] == pytest.approx(3.0 * 17.0)
+        with pytest.raises(BudgetError):
+            curve.energy_grid(4, max_energy=0.0)
 
     def test_energy_for_value_inverts(self):
         curve = make_curve()
-        for energy in [1.5, 3.0, 8.0]:
+        # 1e-3 sits where the single-block makespan diverges towards E = 0
+        for energy in [1e-3, 1.5, 3.0, 8.0, 12.0, 40.0]:
             value = curve.value(energy)
             recovered = energy_for_value(curve, value)
             assert recovered == pytest.approx(energy, rel=1e-9)
 
     def test_energy_for_value_infeasible(self):
-        curve = TradeoffCurve(
-            [CurveSegment(1.0, 5.0, value=lambda e: 10.0 / e)], metric_name="m"
-        )
+        # no budget finishes before the last release, at 6
         with pytest.raises(InfeasibleError):
-            energy_for_value(curve, 0.1)
-
-    def test_energy_for_easy_target_returns_min_energy(self):
-        curve = make_curve()
-        assert energy_for_value(curve, 1000.0) == pytest.approx(curve.min_energy)
+            energy_for_value(make_curve(), 5.0)
 
     def test_dominates_point(self):
         curve = make_curve()
-        assert curve.dominates_point(2.0, 6.0)       # curve achieves 5.0 at E=2
-        assert not curve.dominates_point(2.0, 4.0)   # better than the optimum: not dominated
-        assert not curve.dominates_point(0.5, 100.0)  # below the curve's energy range
+        assert curve.dominates_point(12.0, 7.0)      # curve achieves ~6.96 at E=12
+        assert not curve.dominates_point(12.0, 6.9)  # better than the optimum: not dominated
+        assert not curve.dominates_point(0.0, 100.0)  # no schedule runs on no energy
 
     def test_is_convex(self):
-        curve = make_curve()
-        assert curve.is_convex()
+        assert make_curve().is_convex()

@@ -12,6 +12,17 @@ from repro.online import edf_schedule_at_speeds, yds_schedule, yds_speeds
 from repro.workloads import deadline_instance
 
 
+def _assert_tiny_work_gets_its_piece(solver: str) -> None:
+    from repro.api import SolveRequest, solve, verify
+
+    inst = Instance.from_arrays([0.0, 5.0], [1.0, 1e-13], deadlines=[1.0, 6.0])
+    request = SolveRequest(instance=inst, power=CUBE, solver=solver)
+    result = solve(request)
+    assert result.ok, result.error_message
+    assert result.speeds.tolist() == [1.0, 1e-13]
+    assert verify(request, result).ok
+
+
 class TestYDSSpeeds:
     def test_single_job(self):
         inst = Instance.from_arrays([0.0], [2.0], deadlines=[4.0])
@@ -98,14 +109,13 @@ class TestYDSSchedule:
     def test_tiny_work_gets_its_piece(self):
         # a job of work <= 1e-12 starts at that residual; the executor must
         # run it before counting it as done, or its speed reads nan
-        from repro.api import SolveRequest, solve, verify
+        _assert_tiny_work_gets_its_piece("yds")
 
-        inst = Instance.from_arrays([0.0, 5.0], [1.0, 1e-13], deadlines=[1.0, 6.0])
-        request = SolveRequest(instance=inst, power=CUBE, solver="yds")
-        result = solve(request)
-        assert result.ok, result.error_message
-        assert result.speeds.tolist() == [1.0, 1e-13]
-        assert verify(request, result).ok
+    @pytest.mark.parametrize("solver", ["yds-anytime", "avr", "oa"])
+    def test_tiny_work_gets_its_piece_under(self, solver):
+        # the profile executor (yds-anytime, avr) and OA's residual lists
+        # must not drop such a job before it has run
+        _assert_tiny_work_gets_its_piece(solver)
 
     def test_intensity_is_max_over_intervals(self):
         inst = Instance.from_arrays([0.0, 4.0], [8.0, 4.0], deadlines=[10.0, 6.0])
